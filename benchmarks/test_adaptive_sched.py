@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro.blas.gemm import gemm
-from repro.blas.plan import plan_cache_clear, prepare, release
+from repro.blas.plan import prepare, release
 from repro.blas.policy import active_policy
 from repro.blas.workspace import clear_workspace
 from repro.core.scheduler import AdaptiveScheduler
@@ -111,7 +111,6 @@ def _split_gemm_seconds() -> float:
     finally:
         release(a)
         release(b)
-        plan_cache_clear()
         clear_workspace()
 
 

@@ -27,7 +27,7 @@ import pytest
 
 from repro.blas.backend import available_backends, get_backend, use_backend
 from repro.blas.gemm import gemm
-from repro.blas.plan import plan_cache_clear, prepare, release
+from repro.blas.plan import prepare, release
 from repro.blas.workspace import clear_workspace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -104,7 +104,6 @@ def results():
         finally:
             release(a_plan)
             release(b_plan)
-            plan_cache_clear()
             clear_workspace()
 
     numpy_seconds = {

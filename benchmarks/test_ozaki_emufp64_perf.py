@@ -28,7 +28,7 @@ import pytest
 
 from repro.blas.gemm import gemm
 from repro.blas.modes import ComputeMode, set_ozaki_slices
-from repro.blas.plan import plan_cache_clear, prepare, release
+from repro.blas.plan import prepare, release
 from repro.blas.workspace import clear_workspace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -106,7 +106,6 @@ def results():
         for a_plan, b_plan, _, _ in operands.values():
             release(a_plan)
             release(b_plan)
-        plan_cache_clear()
         clear_workspace()
 
     standard = {

@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro.blas.gemm import gemm
-from repro.blas.plan import plan_cache_clear, prepare, release
+from repro.blas.plan import prepare, release
 from repro.blas.verbose import observing
 from repro.blas.workspace import clear_workspace
 from repro.telemetry.drift import active_drift_monitor
@@ -103,7 +103,6 @@ def results():
     finally:
         release(a)
         release(b)
-        plan_cache_clear()
         clear_workspace()
         if prev is not None:
             enable(prev)

@@ -64,12 +64,9 @@ from repro.blas.batch import gemm_batch
 from repro.blas.complex3m import gemm_3m
 from repro.blas.plan import (
     PreparedOperand,
-    plan_cache,
-    plan_cache_clear,
     plan_cache_info,
     prepare,
     release,
-    set_plan_cache,
 )
 from repro.blas.workspace import clear_workspace, fused_mode, set_fused_mode
 from repro.blas.level1 import axpy, dotc, nrm2, scal
@@ -117,10 +114,7 @@ __all__ = [
     "PreparedOperand",
     "prepare",
     "release",
-    "plan_cache",
-    "plan_cache_clear",
     "plan_cache_info",
-    "set_plan_cache",
     "clear_workspace",
     "fused_mode",
     "set_fused_mode",

@@ -8,7 +8,7 @@ reduced-precision split terms, even the plain contiguous copy the
 standard path wants.  All of that work is *pure* in the operand's
 bytes, so it can be computed once and cached.
 
-Three layers:
+Two layers:
 
 * :class:`PreparedOperand` — wraps one array and memoises every derived
   form the GEMM kernels ask for, keyed by ``(kind, trans, dtype, ...)``.
@@ -19,13 +19,12 @@ Three layers:
 * :func:`prepare` — identity-keyed registry so repeated ``prepare(x)``
   on the same live array returns the same plan (the
   :class:`~repro.dcmesh.nlp.NonlocalPropagator` path).
-* an anonymous LRU (:func:`lookup_anonymous`) — content-fingerprint
-  keyed, consulted by the GEMM entry points for plain ``ndarray``
-  operands above a size threshold.  A repeated call with the same bytes
-  hits the cache after one cheap hashing pass; a mutated or new array
-  misses and is re-split.  Because the key includes a full content
-  digest, a hit can only return derived forms of *identical bytes*, so
-  the bitwise-equivalence contract survives arbitrary mutation.
+
+Reuse is explicit: a caller that holds an operand frozen across calls
+passes its plan instead of the array.  A plain ``ndarray`` operand gets
+a throwaway plan that lives for one call, so the GEMM path never hashes
+an operand's bytes.  The only content checks are the ones a plan's owner
+asks for (once per SCF block in the LFD loop).
 
 Caching cannot change results: every derived form is produced by
 exactly the array operations the cold path would run (same casts, same
@@ -43,11 +42,10 @@ arrays (see :meth:`PreparedOperand.native_mirror`).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,23 +64,8 @@ __all__ = [
     "prepare",
     "release",
     "operand_handle",
-    "lookup_anonymous",
-    "plan_cache_enabled",
-    "set_plan_cache",
-    "plan_cache",
-    "plan_cache_clear",
     "plan_cache_info",
 ]
-
-#: Plain-ndarray operands at or above this byte count are worth a
-#: fingerprint pass to consult the anonymous LRU (one read-only pass
-#: against the ~10 read+write passes a re-split would cost).
-ANON_MIN_BYTES = 1 << 16
-
-#: Anonymous plans kept alive (LRU).  Each holds its operand's splits,
-#: so keep the window small: the hot loop only ever re-uses a handful
-#: of frozen matrices.
-ANON_CACHE_SIZE = 8
 
 
 def _fingerprint_array(x: np.ndarray) -> bytes:
@@ -507,17 +490,13 @@ class OrientedOperand:
 
 
 # ----------------------------------------------------------------------
-# Identity registry (explicit prepare()) and anonymous content LRU.
+# Identity registry (explicit prepare()).
 # ----------------------------------------------------------------------
 
 _registry_lock = threading.Lock()
 _registry: "OrderedDict[int, PreparedOperand]" = OrderedDict()
 _REGISTRY_SIZE = 8
-
-_anon_lock = threading.Lock()
-_anon: "OrderedDict[bytes, PreparedOperand]" = OrderedDict()
-_anon_enabled = True
-_anon_stats = {"hits": 0, "misses": 0}
+_registry_stats = {"hits": 0, "misses": 0}
 
 
 def prepare(array: Union[np.ndarray, PreparedOperand]) -> PreparedOperand:
@@ -538,11 +517,13 @@ def prepare(array: Union[np.ndarray, PreparedOperand]) -> PreparedOperand:
         plan = _registry.get(key)
         if plan is not None and plan.array is array:
             _registry.move_to_end(key)
+            _registry_stats["hits"] += 1
             if t is not None:
                 t.count("blas.plan.prepare", result="hit")
             return plan
         plan = PreparedOperand(array)
         _registry[key] = plan
+        _registry_stats["misses"] += 1
         if t is not None:
             t.count("blas.plan.prepare", result="miss")
         while len(_registry) > _REGISTRY_SIZE:
@@ -567,96 +548,31 @@ def release(array: Union[np.ndarray, PreparedOperand]) -> None:
         plan.invalidate()
 
 
-def lookup_anonymous(array: np.ndarray) -> Optional[PreparedOperand]:
-    """Content-keyed LRU lookup for a plain ndarray operand.
-
-    Returns a plan whose wrapped array had byte-identical content, or
-    ``None`` when the array is too small / the cache is disabled.  The
-    fingerprint is recomputed on every call, so a mutated array can
-    never be served stale derived forms.
-    """
-    if not _anon_enabled or array.nbytes < ANON_MIN_BYTES:
-        return None
-    fp = _fingerprint_array(array)
-    t = _telemetry_active()
-    with _anon_lock:
-        plan = _anon.get(fp)
-        if plan is not None:
-            _anon.move_to_end(fp)
-            _anon_stats["hits"] += 1
-            if t is not None:
-                t.count("blas.plan.anon", result="hit")
-            return plan
-        _anon_stats["misses"] += 1
-        if t is not None:
-            t.count("blas.plan.anon", result="miss")
-        plan = PreparedOperand(array)
-        plan._fingerprint = fp
-        _anon[fp] = plan
-        while len(_anon) > ANON_CACHE_SIZE:
-            _anon.popitem(last=False)
-            if t is not None:
-                t.count("blas.plan.anon_evictions")
-    return plan
-
-
-def plan_cache_enabled() -> bool:
-    """Whether the anonymous content-keyed plan cache is active."""
-    return _anon_enabled
-
-
-def set_plan_cache(enabled: bool) -> None:
-    """Enable/disable the anonymous plan cache (process-wide)."""
-    global _anon_enabled
-    _anon_enabled = bool(enabled)
-    if not enabled:
-        plan_cache_clear()
-
-
-@contextlib.contextmanager
-def plan_cache(enabled: bool) -> Iterator[None]:
-    """Scoped toggle of the anonymous plan cache (benchmarks use this
-    to time the genuinely cold path)."""
-    prev = _anon_enabled
-    set_plan_cache(enabled)
-    try:
-        yield
-    finally:
-        set_plan_cache(prev)
-
-
-def plan_cache_clear() -> None:
-    """Empty the anonymous plan cache and reset its statistics."""
-    with _anon_lock:
-        _anon.clear()
-        _anon_stats["hits"] = 0
-        _anon_stats["misses"] = 0
-
-
 def plan_cache_info() -> dict:
-    """Hit/miss counters and current size of the anonymous cache."""
-    with _anon_lock:
-        return dict(_anon_stats, size=len(_anon), maxsize=ANON_CACHE_SIZE)
+    """Hit/miss counters of :func:`prepare` and the registry's size."""
+    with _registry_lock:
+        return dict(_registry_stats, size=len(_registry), maxsize=_REGISTRY_SIZE)
+
+
+def lookup_anonymous(array: np.ndarray) -> Optional[PreparedOperand]:
+    """Always ``None``: there is no content-keyed plan cache.
+
+    Kept only because the layer tracer of the benchmark harness
+    (``perfbench/tracer.py``) resolves this name; no GEMM path calls
+    it.  Delete it once the harness stops listing it.
+    """
+    return None
 
 
 def operand_handle(
-    x: Union[np.ndarray, PreparedOperand],
-    trans: str,
-    dtype: np.dtype,
-    *,
-    allow_anonymous: bool = True,
+    x: Union[np.ndarray, PreparedOperand], trans: str, dtype: np.dtype
 ) -> OrientedOperand:
     """Build the compute-kernel handle for one operand.
 
-    Prepared operands use their own plan; plain arrays get either an
-    anonymous-cache plan (large arrays, content-validated) or a
-    throwaway plan — which still pays off *within* the call, because
-    the 4M/3M decompositions ask for each part's splits more than once.
+    Prepared operands use their own plan; plain arrays get a throwaway
+    plan — which still pays off *within* the call, because the 4M/3M
+    decompositions ask for each part's splits more than once.
     """
-    if isinstance(x, PreparedOperand):
-        return OrientedOperand(x, trans, dtype)
-    x = np.asarray(x)
-    plan = lookup_anonymous(x) if allow_anonymous else None
-    if plan is None:
-        plan = PreparedOperand(x)
-    return OrientedOperand(plan, trans, dtype)
+    if not isinstance(x, PreparedOperand):
+        x = PreparedOperand(x)
+    return OrientedOperand(x, trans, dtype)

@@ -34,7 +34,7 @@ from repro.dcmesh.maxwell import InducedField
 from repro.dcmesh.mesh import Mesh
 from repro.dcmesh.nlp import NonlocalPropagator
 from repro.dcmesh.observables import QDRecord
-from repro.dcmesh.occupation import remap_occ
+from repro.dcmesh.occupation import prepare_psi0_blocks, remap_occ
 from repro.dcmesh.projectors import build_projectors
 from repro.dcmesh.propagate import LFDPropagator
 from repro.dcmesh.scf import SCFParams, SCFResult, SCFSolver
@@ -456,11 +456,16 @@ class Simulation:
         def observe(t_au: float, psi_now: np.ndarray, h_nl_sub64: np.ndarray) -> QDRecord:
             nonlocal etot0
             a = total_field(t_au)
+            # psi0 enters as the block's prepared plans (nlp's plan and
+            # the column blocks), so its split terms are derived once
+            # per SCF block and psi(t) is never hashed.
             e = calc_energy(
-                psi_now, psi0, occupations, mesh, v_eff, h_nl_sub64,
+                psi_now, nlp.psi0_plan, occupations, mesh, v_eff, h_nl_sub64,
                 a_field=a, device=self.device,
             )
-            r = remap_occ(psi_now, psi0, occupations, mesh)
+            r = remap_occ(
+                psi_now, psi0, occupations, mesh, psi0_blocks=psi0_blocks
+            )
             j = current_density(
                 psi_now, occupations, mesh, a_field=a, polarization=pol,
                 device=self.device,
@@ -523,6 +528,7 @@ class Simulation:
                                 effective_mode, cfg.dt, float(np.linalg.norm(h_nl_sub))
                             )
                     nlp = NonlocalPropagator(psi0, h_nl_sub, cfg.dt, mesh)
+                    psi0_blocks = prepare_psi0_blocks(psi0, occupations)
                     prop = LFDPropagator(
                         mesh, v_eff, nlp, cfg.laser, cfg.dt,
                         storage_dtype=cdt, device=self.device,

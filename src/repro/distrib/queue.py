@@ -7,7 +7,8 @@ both hosts can mount)::
     queue/
       manifest.json            # spec, captured env, cell list, lease policy
       leases/
-        cell-000007.json       # current lease: worker, deadline, attempt
+        cell-000007.json       # live lease: worker, deadline, attempt
+                               # (removed by its worker on completion)
         cell-000007.steal-w1   # speculative re-issue marker (empty)
       results/
         w0.jsonl               # append-only completion records, one owner
@@ -19,8 +20,9 @@ Atomicity rules (POSIX-local, no locks held across work):
 * **manifest** and **lease** writes go through write-to-temp +
   ``os.replace`` — readers see the old or the new record, never a
   torn one.
-* **lease claims** race through ``O_CREAT | O_EXCL`` — exactly one
-  worker wins a vacant lease.  Expired-lease takeovers use replace;
+* **lease claims** race through an exclusive hard link of a fully
+  written temp file — exactly one worker wins a vacant lease, and no
+  reader ever sees a half-written one.  Expired-lease takeovers use replace;
   a takeover race produces duplicate execution, which the merge
   discards by cell key (first completion wins).
 * **results/telemetry shards** are append-only and single-writer
@@ -40,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -70,6 +73,23 @@ def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _exclusive_write(path: Path, text: str) -> bool:
+    """Create ``path`` holding ``text``; False if it already exists.
+
+    The record is written to a temp file first and hard-linked into
+    place, so a concurrent reader never sees the new file empty.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.new")
+    tmp.write_text(text)
+    try:
+        os.link(tmp, path)
+    except FileExistsError:
+        return False
+    finally:
+        tmp.unlink()
+    return True
 
 
 def _read_json_tolerant(path: Path) -> Optional[dict]:
@@ -227,7 +247,7 @@ class WorkQueue:
     ) -> ClaimOutcome:
         """Attempt to lease cell ``index`` for ``worker``.
 
-        Vacant lease: won through ``O_CREAT | O_EXCL`` (exactly one
+        Vacant lease: won through an exclusive hard link (exactly one
         winner).  Expired or undecodable lease: taken over via atomic
         replace — a takeover race can duplicate execution, never lose
         it.  An active lease held elsewhere returns ``"held"``.
@@ -242,13 +262,7 @@ class WorkQueue:
             "deadline_unix": now + self.lease_seconds,
             "attempt": 1,
         }
-        try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
-        except FileExistsError:
-            pass
-        else:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(record))
+        if _exclusive_write(path, json.dumps(record)):
             return ClaimOutcome(status="claimed", attempt=1)
         prev = _read_json_tolerant(path)
         if prev is not None and float(prev.get("deadline_unix", 0.0)) > now:
@@ -276,6 +290,25 @@ class WorkQueue:
             return False
         prev["deadline_unix"] = now + self.lease_seconds
         _atomic_write(self.lease_path(index), json.dumps(prev))
+        return True
+
+    def release(self, index: int, worker: str) -> bool:
+        """Drop ``worker``'s lease on ``index`` once its result is recorded.
+
+        Only a lease that still names ``worker`` is removed, so a
+        takeover by another worker is left alone.  A released lease lets
+        a resume re-run a cell whose completion record was torn at once,
+        instead of waiting for the lease to expire.  Returns True if the
+        lease file was removed.
+        """
+        path = self.lease_path(index)
+        prev = _read_json_tolerant(path)
+        if prev is None or prev.get("worker") != worker:
+            return False
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            return False
         return True
 
     def try_steal(self, index: int, worker: str) -> bool:

@@ -16,7 +16,8 @@ The loop, each pass over the manifest order:
 1. **claim** — take the first unleased (or expired-lease) incomplete
    cell; run it while a daemon heartbeat renews the lease at a third
    of its duration, so a *slow* cell never expires — only a *dead*
-   worker's lease does.
+   worker's lease does.  Once the result is recorded the worker
+   releases its lease.
 2. **steal** — if nothing was claimable, speculatively re-issue the
    oldest still-leased incomplete cell older than the manifest's
    ``steal_after_seconds`` (one marker per worker per cell, so idle
@@ -127,6 +128,12 @@ def run_worker(
             outcome = queue.try_claim(index, worker_id)
             if outcome.status != "claimed":
                 continue
+            if queue.cells[index].key in queue.completed_keys():
+                # Finished and released since `todo` was read: running
+                # it again would only add a duplicate.
+                queue.release(index, worker_id)
+                progressed = True
+                break
             stop_heartbeat = threading.Event()
 
             def _heartbeat(idx: int = index) -> None:
@@ -150,6 +157,11 @@ def run_worker(
                 )
             finally:
                 stop_heartbeat.set()
+                beat.join()
+            # The result is on disk: hand the lease back so a torn record
+            # re-runs on resume without waiting for the lease to expire.
+            # The heartbeat is stopped first so it cannot re-create it.
+            queue.release(index, worker_id)
             executed += 1
             progressed = True
             break

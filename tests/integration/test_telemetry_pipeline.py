@@ -72,6 +72,27 @@ class TestNineCallsPerStep:
         assert any(k.startswith("blas.plan.") for k in flat)
 
 
+class TestNoPerStepContentHashing:
+    """Operand content hashing is the once-per-SCF-block freshness check
+    of the frozen psi0 plans; no QD-step GEMM hashes an operand."""
+
+    @staticmethod
+    def _fingerprints(n_steps: int, nscf: int = 12) -> float:
+        cfg = SimulationConfig.small_test(
+            mesh_shape=(8, 8, 8), n_orb=20, n_qd_steps=n_steps, nscf=nscf
+        )
+        sim = Simulation(cfg)
+        sim.setup()
+        with telemetry() as t:
+            sim.run(mode="FLOAT_TO_BF16")
+        assert t.counter_total("blas.calls") > 9 * n_steps  # GEMMs did run
+        return t.counter_total("blas.plan.fingerprints")
+
+    def test_fingerprints_depend_on_blocks_not_steps(self):
+        # Both runs are one SCF block long; the second has twice the steps.
+        assert 0 < self._fingerprints(6) == self._fingerprints(12)
+
+
 class TestRunnerTelemetryFlag:
     def test_table6_emits_all_artifacts(self, tmp_path, capsys):
         out = tmp_path / "telem"

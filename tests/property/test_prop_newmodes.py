@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.blas.complex3m import gemm_4m
 from repro.blas.gemm import gemm
 from repro.blas.modes import ComputeMode, set_ozaki_slices
-from repro.blas.plan import plan_cache, prepare
+from repro.blas.plan import prepare
 from repro.blas.rounding import OZAKI_SLICE_BITS, ozaki_max_relative_error
 from repro.blas.split import (
     emulated_fp64_gemm_reference,
@@ -220,9 +220,8 @@ class TestGoldenOzaki:
             gemm(prepare(a.copy()), prepare(b.copy()), mode=ComputeMode.OZAKI_INT8),
             ref,
         )
-        with plan_cache(True):
-            warm1 = gemm(a, b, mode=ComputeMode.OZAKI_INT8)
-            warm2 = gemm(a, b, mode=ComputeMode.OZAKI_INT8)
+        warm1 = gemm(a, b, mode=ComputeMode.OZAKI_INT8)
+        warm2 = gemm(a, b, mode=ComputeMode.OZAKI_INT8)
         _assert_bitwise(warm1, ref)
         _assert_bitwise(warm2, ref)
 
@@ -273,9 +272,8 @@ class TestGoldenEmulatedFP64:
             gemm(prepare(a.copy()), prepare(b.copy()), mode=ComputeMode.EMULATED_FP64),
             ref,
         )
-        with plan_cache(True):
-            warm1 = gemm(a, b, mode=ComputeMode.EMULATED_FP64)
-            warm2 = gemm(a, b, mode=ComputeMode.EMULATED_FP64)
+        warm1 = gemm(a, b, mode=ComputeMode.EMULATED_FP64)
+        warm2 = gemm(a, b, mode=ComputeMode.EMULATED_FP64)
         _assert_bitwise(warm1, ref)
         _assert_bitwise(warm2, ref)
 

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.blas.complex3m import gemm_3m, gemm_4m
 from repro.blas.gemm import gemm
 from repro.blas.modes import ComputeMode
-from repro.blas.plan import plan_cache, prepare
+from repro.blas.plan import prepare
 from repro.blas.split import split_gemm_real, split_gemm_reference
 from repro.blas.workspace import fused_mode
 
@@ -159,13 +159,11 @@ class TestGoldenCgemm:
 
     @given(adversarial_inputs(complex_=True), st.sampled_from(SWEEP_MODES))
     @settings(max_examples=30, deadline=None)
-    def test_anonymous_cache_does_not_change_bits(self, ab, mode):
+    def test_repeated_plain_calls_do_not_change_bits(self, ab, mode):
         a, b = ab
-        with plan_cache(False):
-            cold = gemm(a, b, mode=mode)
-        with plan_cache(True):
-            warm1 = gemm(a, b, mode=mode)
-            warm2 = gemm(a, b, mode=mode)  # second call may hit the LRU
+        cold = gemm(a, b, mode=mode)
+        warm1 = gemm(a, b, mode=mode)
+        warm2 = gemm(a, b, mode=mode)
         _assert_bitwise(warm1, cold)
         _assert_bitwise(warm2, cold)
 
@@ -239,3 +237,91 @@ class TestCacheInvalidation:
         np.testing.assert_array_equal(
             before.view(np.uint64), after.view(np.uint64)
         )
+
+
+#: The nine runs of the precision study: the paper's six configurations,
+#: the two software-emulation modes and the adaptive scheduler.
+LADDER_MODES = [
+    "STANDARD",
+    "FLOAT_TO_BF16",
+    "FLOAT_TO_TF32",
+    "FLOAT_TO_BF16X2",
+    "FLOAT_TO_BF16X3",
+    "COMPLEX_3M",
+    "OZAKI_INT8",
+    "EMULATED_FP64",
+    "adaptive",
+]
+
+
+@pytest.fixture(scope="module")
+def lfd_state():
+    """Small-lattice LFD state: SCF reference psi0 and an evolved psi(t)."""
+    from repro.dcmesh.simulation import Simulation, SimulationConfig
+
+    sim = Simulation(SimulationConfig.small_test(n_qd_steps=3, nscf=3))
+    ground = sim.setup()
+    psi = sim.run(mode="STANDARD").final_psi
+    psi0 = ground.orbitals.psi.astype(psi.dtype)
+    n_orb = psi0.shape[1]
+    rng = np.random.default_rng(21)
+    h = rng.standard_normal((n_orb, n_orb)) + 1j * rng.standard_normal((n_orb, n_orb))
+    h = 0.05 * (h + h.conj().T)
+    return sim.mesh, psi0, psi, ground.orbitals.occupations, ground.v_eff, h
+
+
+class TestExplicitPsi0Plans:
+    """``calc_energy``/``remap_occ`` fed the SCF block's prepared plans
+    (``NonlocalPropagator.psi0_plan`` and the psi0 column blocks) return
+    exactly the bits they return for plain ``psi0`` arrays."""
+
+    @staticmethod
+    def _mode_scope(mode):
+        from repro.blas.modes import compute_mode
+        from repro.core.scheduler import AdaptiveScheduler
+
+        if mode == "adaptive":
+            return AdaptiveScheduler().scope()
+        return compute_mode(mode)
+
+    @pytest.mark.parametrize("mode", LADDER_MODES)
+    def test_prepared_psi0_is_bitwise_identical(self, lfd_state, mode):
+        from repro.blas.plan import release
+        from repro.dcmesh.energy import calc_energy
+        from repro.dcmesh.nlp import NonlocalPropagator
+        from repro.dcmesh.occupation import prepare_psi0_blocks, remap_occ
+
+        mesh, psi0, psi, f, v_eff, h = lfd_state
+        psi0 = psi0.copy()  # a private array: its registry plan is ours
+        try:
+            with self._mode_scope(mode):
+                e_ref = calc_energy(psi, psi0, f, mesh, v_eff, h)
+                r_ref = remap_occ(psi, psi0, f, mesh)
+                nlp = NonlocalPropagator(psi0, h, 0.04, mesh)
+                nlp.apply(psi)  # the nlp GEMMs warm the shared psi0 plan
+                blocks = prepare_psi0_blocks(psi0, f)
+                for _ in range(2):  # cold, then served from the plans
+                    e = calc_energy(psi, nlp.psi0_plan, f, mesh, v_eff, h)
+                    r = remap_occ(psi, psi0, f, mesh, psi0_blocks=blocks)
+                    got = np.array([e.ekin, e.epot, e.enl, e.etot, r.nexc])
+                    ref = np.array(
+                        [e_ref.ekin, e_ref.epot, e_ref.enl, e_ref.etot, r_ref.nexc]
+                    )
+                    np.testing.assert_array_equal(
+                        got.view(np.uint64), ref.view(np.uint64)
+                    )
+                    for name in ("occ_remapped", "per_orbital_exc"):
+                        np.testing.assert_array_equal(
+                            getattr(r, name).view(np.uint64),
+                            getattr(r_ref, name).view(np.uint64),
+                        )
+        finally:
+            release(psi0)
+
+    def test_blocks_must_split_psi0_at_n_occ(self, lfd_state):
+        from repro.dcmesh.occupation import prepare_psi0_blocks, remap_occ
+
+        mesh, psi0, psi, f, _, _ = lfd_state
+        occ, virt = prepare_psi0_blocks(psi0, f)
+        with pytest.raises(ValueError, match="psi0_blocks"):
+            remap_occ(psi, psi0, f, mesh, psi0_blocks=(virt, occ))

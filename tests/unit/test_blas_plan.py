@@ -1,21 +1,16 @@
-"""Unit tests: split-plan caching (PreparedOperand, registry, LRU)."""
+"""Unit tests: split-plan caching (PreparedOperand, prepare() registry)."""
 
 import numpy as np
 import pytest
 
 from repro.blas.gemm import check_finite, finite_checks, finite_checks_enabled, gemm
 from repro.blas.plan import (
-    ANON_MIN_BYTES,
     PreparedOperand,
     lookup_anonymous,
     operand_handle,
-    plan_cache,
-    plan_cache_clear,
-    plan_cache_enabled,
     plan_cache_info,
     prepare,
     release,
-    set_plan_cache,
 )
 from repro.blas.workspace import (
     Workspace,
@@ -155,42 +150,40 @@ class TestRegistry:
         assert prepare(x) is not plan
 
 
-class TestAnonymousCache:
-    def setup_method(self):
-        plan_cache_clear()
-        set_plan_cache(True)
-
-    def teardown_method(self):
-        plan_cache_clear()
-        set_plan_cache(True)
-
-    def test_small_arrays_skip_cache(self, rng):
-        x = rng.standard_normal((2, 2)).astype(np.float32)
-        assert x.nbytes < ANON_MIN_BYTES
+class TestNoContentCache:
+    def test_lookup_anonymous_is_a_stub(self, rng):
+        x = rng.standard_normal((256, 256)).astype(np.float32)
         assert lookup_anonymous(x) is None
+        assert lookup_anonymous(x.copy()) is None
 
-    def test_content_keyed_hit(self, rng):
-        n = int(np.sqrt(ANON_MIN_BYTES / 4)) + 2
-        x = rng.standard_normal((n, n)).astype(np.float32)
-        p1 = lookup_anonymous(x)
-        p2 = lookup_anonymous(x.copy())  # same bytes, different object
-        assert p1 is p2
-        assert plan_cache_info()["hits"] == 1
+    def test_plain_operands_get_throwaway_plans(self, rng):
+        x = rng.standard_normal((256, 256)).astype(np.float32)
+        h1 = operand_handle(x, "N", np.float32)
+        h2 = operand_handle(x.copy(), "N", np.float32)
+        assert h1.plan is not h2.plan
+        assert h1.plan.array is x
 
-    def test_mutation_misses(self, rng):
-        n = int(np.sqrt(ANON_MIN_BYTES / 4)) + 2
-        x = rng.standard_normal((n, n)).astype(np.float32)
-        p1 = lookup_anonymous(x)
-        x[0, 0] += 1.0
-        assert lookup_anonymous(x) is not p1
+    def test_plain_gemm_never_hashes_operands(self, rng):
+        from repro.telemetry.registry import telemetry
 
-    def test_disable(self, rng):
-        n = int(np.sqrt(ANON_MIN_BYTES / 4)) + 2
-        x = rng.standard_normal((n, n)).astype(np.float32)
-        with plan_cache(False):
-            assert not plan_cache_enabled()
-            assert lookup_anonymous(x) is None
-        assert plan_cache_enabled()
+        a = rng.standard_normal((64, 512)).astype(np.float32)
+        b = rng.standard_normal((512, 64)).astype(np.float32)
+        with telemetry() as t:
+            for _ in range(3):
+                gemm(a, b, mode="FLOAT_TO_BF16X2")
+        assert t.counter_total("blas.plan.fingerprints") == 0
+
+    def test_info_reports_prepare_registry(self, rng):
+        x = rng.standard_normal((4, 4)).astype(np.float32)
+        before = plan_cache_info()
+        plan = prepare(x)
+        assert prepare(x) is plan
+        after = plan_cache_info()
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"] + 1
+        assert 1 <= after["size"] <= after["maxsize"]
+        release(x)
+        assert plan_cache_info()["size"] == after["size"] - 1
 
 
 class TestGemmWithPlans:

@@ -68,6 +68,53 @@ class TestLeaseProtocol:
         assert outcome.status == "claimed"
         assert outcome.corrupt is True
 
+    def test_claim_leaves_no_temp_files(self, tmp_path):
+        q = make_queue(tmp_path)
+        q.try_claim(0, "w0")
+        q.try_claim(0, "w1")
+        assert [p.name for p in q.lease_path(0).parent.iterdir()] == [
+            q.lease_path(0).name
+        ]
+        assert json.loads(q.lease_path(0).read_text())["worker"] == "w0"
+
+    def test_release_removes_only_own_lease(self, tmp_path):
+        q = make_queue(tmp_path)
+        q.try_claim(0, "w0")
+        assert q.release(0, "w1") is False  # not the holder
+        assert q.read_lease(0)["worker"] == "w0"
+        assert q.release(0, "w0") is True
+        assert q.read_lease(0) is None
+        assert q.release(0, "w0") is False  # already gone
+        outcome = q.try_claim(0, "w1")  # vacant again: no takeover
+        assert outcome.status == "claimed"
+        assert outcome.takeover is False
+
+    def test_worker_releases_lease_after_recording(self, tmp_path):
+        from repro.distrib.worker import run_worker
+
+        q = make_queue(tmp_path, n_cells=2)
+        assert run_worker(q.root, worker_id="w0", apply_env=False) == 2
+        assert q.all_done()
+        assert list(q.lease_path(0).parent.glob("cell-*.json")) == []
+
+    def test_claim_of_completed_cell_is_handed_back(self, tmp_path, monkeypatch):
+        from repro.distrib.worker import run_worker
+
+        q = make_queue(tmp_path, n_cells=1)
+        q.record_result("w0", 0, {"x": 1}, 0.0)
+        real = WorkQueue.completed_keys
+        scans = []
+
+        def stale_first_scan(self):
+            # The worker's first scan predates w0's record; later ones see it.
+            scans.append(1)
+            return set() if len(scans) == 1 else real(self)
+
+        monkeypatch.setattr(WorkQueue, "completed_keys", stale_first_scan)
+        assert run_worker(q.root, worker_id="w1", apply_env=False) == 0
+        assert len(q.result_records()[0]) == 1  # no duplicate run
+        assert q.read_lease(0) is None
+
     def test_steal_marker_once_per_worker(self, tmp_path):
         q = make_queue(tmp_path)
         assert q.try_steal(0, "w1") is True
