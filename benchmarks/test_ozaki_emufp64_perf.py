@@ -51,12 +51,27 @@ CASES = [
 ]
 
 
-def _best_of(fn, repeats=REPEATS):
-    best = float("inf")
+def _run(a_plan, b_plan, mode, slices):
+    set_ozaki_slices(slices)
+    try:
+        return gemm(a_plan, b_plan, mode=mode)
+    finally:
+        set_ozaki_slices(None)
+
+
+def _interleaved_best_of(calls, repeats=REPEATS):
+    """Best-of-``repeats`` seconds per call, timing the calls round-robin.
+
+    Each round times every call once, so a transient slowdown of the
+    host (another process, a frequency dip) lands on the STANDARD
+    baseline and the emulated cases alike instead of on one of them.
+    """
+    best = [float("inf")] * len(calls)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for i, fn in enumerate(calls):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -77,33 +92,36 @@ def results():
     operands = {}
     rows = []
     try:
-        for label, dtype, mode, slices in CASES:
-            key = np.dtype(dtype).name
-            if key not in operands:
-                a, b = _operands(dtype, rng)
-                operands[key] = (prepare(a), prepare(b), a, b)
-            a_plan, b_plan, a, b = operands[key]
-            set_ozaki_slices(slices)
-            try:
-                gemm(a_plan, b_plan, mode=mode)  # warm: stage + cache
-                seconds = _best_of(lambda: gemm(a_plan, b_plan, mode=mode))
-                out = gemm(a_plan, b_plan, mode=mode)
-            finally:
-                set_ozaki_slices(None)
+        # One group per routine: its STANDARD baseline is timed
+        # interleaved with that routine's emulated cases.
+        for routine in dict.fromkeys(label.split("/")[0] for label, *_ in CASES):
+            group = [c for c in CASES if c[0].split("/")[0] == routine]
+            dtype = group[0][1]
+            a, b = _operands(dtype, rng)
+            a_plan, b_plan = operands[routine] = (prepare(a), prepare(b))
+            calls = [
+                lambda mode=mode, slices=slices: _run(a_plan, b_plan, mode, slices)
+                for _, _, mode, slices in group
+            ]
+            for call in calls:
+                call()  # warm: stage + cache
+            seconds = _interleaved_best_of(calls)
             ref = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64) @ \
                 b.astype(np.complex128 if np.iscomplexobj(b) else np.float64)
-            rows.append(
-                {
-                    "case": label,
-                    "routine": label.split("/")[0],
-                    "mode": mode.env_value,
-                    "ozaki_slices": slices,
-                    "seconds": seconds,
-                    "max_abs_dev_vs_fp64": float(np.max(np.abs(out - ref))),
-                }
-            )
+            for (label, _, mode, slices), call, secs in zip(group, calls, seconds):
+                out = call()
+                rows.append(
+                    {
+                        "case": label,
+                        "routine": routine,
+                        "mode": mode.env_value,
+                        "ozaki_slices": slices,
+                        "seconds": secs,
+                        "max_abs_dev_vs_fp64": float(np.max(np.abs(out - ref))),
+                    }
+                )
     finally:
-        for a_plan, b_plan, _, _ in operands.values():
+        for a_plan, b_plan in operands.values():
             release(a_plan)
             release(b_plan)
         clear_workspace()

@@ -68,7 +68,7 @@ from repro.blas.plan import (
     prepare,
     release,
 )
-from repro.blas.workspace import clear_workspace, fused_mode, set_fused_mode
+from repro.blas.workspace import clear_workspace
 from repro.blas.level1 import axpy, dotc, nrm2, scal
 from repro.blas.policy import SitePolicy, active_policy
 from repro.blas.verbose import (
@@ -116,8 +116,6 @@ __all__ = [
     "release",
     "plan_cache_info",
     "clear_workspace",
-    "fused_mode",
-    "set_fused_mode",
     "SitePolicy",
     "active_policy",
     "axpy",

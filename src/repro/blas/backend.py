@@ -4,11 +4,11 @@ The split/3M/plan machinery is *numerics policy*: which reduced-precision
 terms to form, which component products to run, in which order to
 accumulate.  None of that cares where the O(n^3) work executes.  This
 module is the seam between the two: every hot-path array operation the
-compute kernels issue (allocate, cast, matmul, batched matmul, gather,
-accumulate, reduce) goes through an :class:`ArrayBackend`, so the same
-precision policy can ride ``np.matmul`` today and a tensor-core GEMM
-tomorrow — the "automatic BLAS offloading" direction of the TACC pilot
-study, with NumPy as the always-on reference.
+compute kernels issue (allocate, cast, matmul, accumulate, reduce) goes
+through an :class:`ArrayBackend`, so the same precision policy can ride
+``np.matmul`` today and a tensor-core GEMM tomorrow — the "automatic
+BLAS offloading" direction of the TACC pilot study, with NumPy as the
+always-on reference.
 
 Two implementations ship:
 
@@ -158,7 +158,7 @@ class ArrayBackend:
         raise NotImplementedError
 
     def nbytes(self, x) -> int:
-        """Byte size of a native array (batching heuristics)."""
+        """Byte size of a native array (workspace accounting)."""
         raise NotImplementedError
 
     def result_dtype(self, a, b) -> np.dtype:
@@ -185,22 +185,8 @@ class ArrayBackend:
         """``a @ b`` over the trailing two axes (allocates when out is None)."""
         raise NotImplementedError
 
-    def batched_matmul(self, a, b, out=None):
-        """Stacked ``a[i] @ b[i]``; same semantics as :meth:`matmul`
-        over 3-D stacks, split out so device backends can bind the
-        strided-batch kernel directly."""
-        return self.matmul(a, b, out=out)
-
-    def take(self, x, indices: np.ndarray, out):
-        """Gather ``x[indices]`` along axis 0 into ``out``."""
-        raise NotImplementedError
-
     def add_(self, out, x):
         """In-place accumulate ``out += x`` (returns ``out``)."""
-        raise NotImplementedError
-
-    def copy(self, x):
-        """Fresh native copy (detach a result from workspace storage)."""
         raise NotImplementedError
 
     def reduce(self, x, axis: Optional[int] = None):
@@ -252,16 +238,9 @@ class NumpyBackend(ArrayBackend):
     def matmul(self, a, b, out=None):
         return np.matmul(a, b, out=out)
 
-    def take(self, x, indices, out):
-        np.take(x, indices, axis=0, out=out)
-        return out
-
     def add_(self, out, x):
         np.add(out, x, out=out)
         return out
-
-    def copy(self, x: np.ndarray) -> np.ndarray:
-        return x.copy()
 
     def reduce(self, x, axis: Optional[int] = None):
         return np.sum(x, axis=axis)

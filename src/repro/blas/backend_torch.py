@@ -173,15 +173,8 @@ class TorchBackend(ArrayBackend):
         finally:
             mm.allow_tf32 = prev
 
-    def take(self, x, indices, out):
-        idx = self.torch.as_tensor(np.ascontiguousarray(indices), device=self.device)
-        return self.torch.index_select(x, 0, idx, out=out)
-
     def add_(self, out, x):
         return out.add_(x)
-
-    def copy(self, x):
-        return x.clone()
 
     def reduce(self, x, axis=None):
         return self.torch.sum(x) if axis is None else self.torch.sum(x, dim=axis)

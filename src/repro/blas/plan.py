@@ -241,11 +241,13 @@ class PreparedOperand:
         residual (prefix property, see
         :func:`repro.blas.rounding.split_terms_residual`), a request for
         ``n`` terms when a ``k < n``-term split is already cached only
-        computes the ``n - k`` missing terms from the cached residual —
-        the path a precision escalation (BF16 → BF16X2/X3) takes, so a
-        mode switch never re-prepares the whole operand.  Extension is
-        bitwise-exact: the FP32 rounding/subtraction sequence is the
-        same one a from-scratch split would run.
+        rounds the ``n - k`` missing terms — the path a precision
+        escalation (BF16 → BF16X2/X3) takes, so a mode switch never
+        re-prepares the whole operand.  No residual is cached beside
+        the split: :func:`~repro.blas.rounding.extend_split` rebuilds it
+        from the cached base array by subtracting the cached terms in
+        order, the same FP32 subtraction sequence a from-scratch split
+        runs, so extension is bitwise-exact.
         """
         key = ("split", trans, keep_bits, n_terms, part)
         t = _telemetry_active()
@@ -260,27 +262,22 @@ class PreparedOperand:
                 )
             return got
 
-        # Cache miss: extend the widest cached shorter split (needs its
-        # residual) before falling back to a from-scratch decomposition.
-        prev_stack = prev_resid = None
-        prev_n = 0
+        # Cache miss: extend the widest cached shorter split before
+        # falling back to a from-scratch decomposition.
+        prev = None
         for n in range(n_terms - 1, 0, -1):
-            resid = self._derived.get(("split_resid", trans, keep_bits, n, part))
-            stack = self._derived.get(("split", trans, keep_bits, n, part))
-            if resid is not None and stack is not None:
-                prev_stack, prev_resid, prev_n = stack, resid, n
+            prev = self._derived.get(("split", trans, keep_bits, n, part))
+            if prev is not None:
                 break
-        if prev_stack is not None:
-            terms, residual = extend_split(
-                tuple(prev_stack), prev_resid, keep_bits, n_terms - prev_n
-            )
+        if part is None:
+            base = self.oriented(trans, np.float32)
+        else:
+            base = self.part(trans, np.dtype(dtype or np.complex64), part)
+        if prev is not None:
+            terms = extend_split(tuple(prev), base, keep_bits, n_terms - len(prev))
             result = "extend"
         else:
-            if part is None:
-                base = self.oriented(trans, np.float32)
-            else:
-                base = self.part(trans, np.dtype(dtype or np.complex64), part)
-            terms, residual = split_terms_residual(base, keep_bits, n_terms)
+            terms, _ = split_terms_residual(base, keep_bits, n_terms)
             result = "full"
         if t is not None:
             t.count(
@@ -291,11 +288,7 @@ class PreparedOperand:
             )
         built = np.stack(terms)
         with self._lock:
-            got = self._derived.setdefault(key, built)
-            self._derived.setdefault(
-                ("split_resid", trans, keep_bits, n_terms, part), residual
-            )
-        return got
+            return self._derived.setdefault(key, built)
 
     def ozaki_stack(
         self,

@@ -148,10 +148,8 @@ def split_terms_residual(
     The residual after ``n`` terms is the exact starting point for term
     ``n + 1``: because each term depends only on the running residual,
     the first ``n`` terms of an ``(n + k)``-term split are bitwise equal
-    to the ``n``-term split.  Caching ``(terms, residual)`` therefore
-    lets a precision escalation extend an existing split incrementally
-    (one extra rounding + subtraction) instead of recomputing every
-    term from scratch — see :meth:`repro.blas.plan.PreparedOperand`.
+    to the ``n``-term split (the prefix property
+    :func:`extend_split` relies on).
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
@@ -166,26 +164,30 @@ def split_terms_residual(
 
 def extend_split(
     terms: Tuple[np.ndarray, ...],
-    residual: np.ndarray,
+    x: np.ndarray,
     keep_bits: int,
     extra_terms: int,
-) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-    """Append ``extra_terms`` more components to an existing split.
+) -> Tuple[np.ndarray, ...]:
+    """Append ``extra_terms`` more components to the split ``terms`` of ``x``.
 
-    ``terms``/``residual`` must come from :func:`split_terms_residual`
-    with the same ``keep_bits``.  The returned terms are bitwise
-    identical to a from-scratch ``split_terms_residual`` of the
-    original array with ``len(terms) + extra_terms`` terms (prefix
-    property: the FP32 subtraction sequence is unchanged).
+    ``terms`` must be a split of ``x`` with the same ``keep_bits``.  The
+    running residual is rebuilt from ``x`` by subtracting ``terms`` in
+    order, the FP32 subtraction sequence :func:`split_terms_residual`
+    runs, so the returned terms are bitwise identical to a from-scratch
+    split of ``x`` with ``len(terms) + extra_terms`` terms.  Callers
+    therefore need not keep a full-size residual beside every split.
     """
     if extra_terms < 1:
         raise ValueError(f"extra_terms must be >= 1, got {extra_terms}")
+    residual = np.ascontiguousarray(x, dtype=np.float32)
+    for t in terms:
+        residual = residual - t
     out = list(terms)
     for _ in range(extra_terms):
         t = round_mantissa(residual, keep_bits)
         out.append(t)
         residual = residual - t
-    return tuple(out), residual
+    return tuple(out)
 
 
 def split_bf16(x: np.ndarray, n_terms: int) -> Tuple[np.ndarray, ...]:

@@ -8,8 +8,8 @@ Two contracts per mode:
 * **golden bitwise** — the routed fused/plan-cached paths reproduce the
   kept naive references (:func:`repro.blas.split.ozaki_gemm_reference`,
   :func:`repro.blas.split.emulated_fp64_gemm_reference`, composed with
-  ``gemm_4m`` for complex) bit for bit under both fused engines, on the
-  same adversarial inputs the paper-mode golden suite uses.
+  ``gemm_4m`` for complex) bit for bit, on the same adversarial inputs
+  the paper-mode golden suite uses.
 """
 
 import numpy as np
@@ -25,7 +25,6 @@ from repro.blas.split import (
     emulated_fp64_gemm_reference,
     ozaki_gemm_reference,
 )
-from repro.blas.workspace import fused_mode
 
 pytestmark = pytest.mark.usefixtures("clean_mode_env")
 
@@ -196,9 +195,7 @@ class TestGoldenOzaki:
         set_ozaki_slices(n_slices)
         try:
             ref = _reference(a, b, ComputeMode.OZAKI_INT8)
-            for engine in ("batched", "loop"):
-                with fused_mode(engine):
-                    _assert_bitwise(gemm(a, b, mode=ComputeMode.OZAKI_INT8), ref)
+            _assert_bitwise(gemm(a, b, mode=ComputeMode.OZAKI_INT8), ref)
         finally:
             set_ozaki_slices(None)
 
@@ -207,9 +204,7 @@ class TestGoldenOzaki:
     def test_cgemm_bitwise(self, ab):
         a, b = ab
         ref = _reference(a, b, ComputeMode.OZAKI_INT8)
-        for engine in ("batched", "loop"):
-            with fused_mode(engine):
-                _assert_bitwise(gemm(a, b, mode=ComputeMode.OZAKI_INT8), ref)
+        _assert_bitwise(gemm(a, b, mode=ComputeMode.OZAKI_INT8), ref)
 
     @given(gemm_inputs())
     @settings(max_examples=25, deadline=None)
@@ -232,36 +227,28 @@ class TestGoldenEmulatedFP64:
     def test_sgemm_bitwise(self, ab):
         a, b = ab
         ref = _reference(a, b, ComputeMode.EMULATED_FP64)
-        for engine in ("batched", "loop"):
-            with fused_mode(engine):
-                _assert_bitwise(gemm(a, b, mode=ComputeMode.EMULATED_FP64), ref)
+        _assert_bitwise(gemm(a, b, mode=ComputeMode.EMULATED_FP64), ref)
 
     @given(gemm_inputs(dtype=np.float64))
     @settings(max_examples=40, deadline=None)
     def test_dgemm_bitwise(self, ab):
         a, b = ab
         ref = _reference(a, b, ComputeMode.EMULATED_FP64)
-        for engine in ("batched", "loop"):
-            with fused_mode(engine):
-                _assert_bitwise(gemm(a, b, mode=ComputeMode.EMULATED_FP64), ref)
+        _assert_bitwise(gemm(a, b, mode=ComputeMode.EMULATED_FP64), ref)
 
     @given(gemm_inputs(dtype=np.complex64))
     @settings(max_examples=30, deadline=None)
     def test_cgemm_bitwise(self, ab):
         a, b = ab
         ref = _reference(a, b, ComputeMode.EMULATED_FP64)
-        for engine in ("batched", "loop"):
-            with fused_mode(engine):
-                _assert_bitwise(gemm(a, b, mode=ComputeMode.EMULATED_FP64), ref)
+        _assert_bitwise(gemm(a, b, mode=ComputeMode.EMULATED_FP64), ref)
 
     @given(gemm_inputs(dtype=np.complex128))
     @settings(max_examples=30, deadline=None)
     def test_zgemm_bitwise(self, ab):
         a, b = ab
         ref = _reference(a, b, ComputeMode.EMULATED_FP64)
-        for engine in ("batched", "loop"):
-            with fused_mode(engine):
-                _assert_bitwise(gemm(a, b, mode=ComputeMode.EMULATED_FP64), ref)
+        _assert_bitwise(gemm(a, b, mode=ComputeMode.EMULATED_FP64), ref)
 
     @given(gemm_inputs(dtype=np.float64))
     @settings(max_examples=25, deadline=None)

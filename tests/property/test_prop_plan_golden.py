@@ -2,10 +2,11 @@
 identical to the naive reference engine.
 
 The contract under test is the hard one from the plan/workspace layer:
-caching contiguous parts and split stacks, batching the component
-products, and reusing workspace buffers must not change a single output
-bit relative to the original implementation (per-pair matmuls with
-fresh temporaries, most-significant-first accumulation).  The reference
+caching contiguous parts and split stacks, and accumulating the
+component products through ``out=`` into a reused workspace buffer,
+must not change a single output bit relative to the original
+implementation (per-pair matmuls with fresh temporaries,
+most-significant-first accumulation).  The reference
 here is composed from the *kept* pre-plan kernels:
 
 * real routines — :func:`repro.blas.split.split_gemm_reference`;
@@ -27,7 +28,6 @@ from repro.blas.gemm import gemm
 from repro.blas.modes import ComputeMode
 from repro.blas.plan import prepare
 from repro.blas.split import split_gemm_real, split_gemm_reference
-from repro.blas.workspace import fused_mode
 
 pytestmark = pytest.mark.usefixtures("clean_mode_env")
 
@@ -111,9 +111,7 @@ class TestGoldenSgemm:
     def test_routed_path_bitwise(self, ab, mode):
         a, b = ab
         ref = _reference(a, b, mode)
-        for engine in ("batched", "loop"):
-            with fused_mode(engine):
-                _assert_bitwise(gemm(a, b, mode=mode), ref)
+        _assert_bitwise(gemm(a, b, mode=mode), ref)
 
     @given(adversarial_inputs(), st.sampled_from(SWEEP_MODES))
     @settings(max_examples=40, deadline=None)
@@ -135,9 +133,7 @@ class TestGoldenSgemm:
             (Precision.TF32, 1),
         ]:
             ref = split_gemm_reference(a, b, prec, n_terms)
-            for engine in ("batched", "loop"):
-                with fused_mode(engine):
-                    _assert_bitwise(split_gemm_real(a, b, prec, n_terms), ref)
+            _assert_bitwise(split_gemm_real(a, b, prec, n_terms), ref)
 
 
 class TestGoldenCgemm:
@@ -146,9 +142,7 @@ class TestGoldenCgemm:
     def test_routed_path_bitwise(self, ab, mode):
         a, b = ab
         ref = _reference(a, b, mode)
-        for engine in ("batched", "loop"):
-            with fused_mode(engine):
-                _assert_bitwise(gemm(a, b, mode=mode), ref)
+        _assert_bitwise(gemm(a, b, mode=mode), ref)
 
     @given(adversarial_inputs(complex_=True), st.sampled_from(SWEEP_MODES))
     @settings(max_examples=40, deadline=None)

@@ -42,7 +42,7 @@ from repro.blas.gemm import gemm
 from repro.blas.modes import ComputeMode, compute_mode
 from repro.blas.plan import operand_handle, prepare, release
 from repro.blas.verbose import format_verbose_line, mkl_verbose
-from repro.blas.workspace import Workspace, clear_workspace, fused_mode
+from repro.blas.workspace import Workspace, clear_workspace
 
 HAVE_TORCH = importlib.util.find_spec("torch") is not None
 
@@ -103,16 +103,11 @@ class TestNumpyBackendOps:
         assert got is out
         assert np.array_equal(out, np.matmul(a, b))
 
-    def test_take_add_copy_reduce(self):
+    def test_add_reduce(self):
         x = rng.standard_normal((6, 3, 3)).astype(np.float32)
-        idx = np.array([4, 0, 2])
-        out = np.empty((3, 3, 3), dtype=np.float32)
-        assert np.array_equal(NUMPY_BACKEND.take(x, idx, out), x[idx])
         acc = x[0].copy()
-        NUMPY_BACKEND.add_(acc, x[1])
+        assert NUMPY_BACKEND.add_(acc, x[1]) is acc
         assert np.array_equal(acc, x[0] + x[1])
-        cp = NUMPY_BACKEND.copy(x)
-        assert cp is not x and np.array_equal(cp, x)
         assert NUMPY_BACKEND.reduce(x) == np.sum(x)
 
     def test_empty_cast_nbytes_result_dtype(self):
@@ -441,27 +436,20 @@ class FakeDeviceBackend(ArrayBackend):
         np.matmul(a.arr, b.arr, out=out.arr)
         return out
 
-    def take(self, x, indices, out):
-        np.take(x.arr, indices, axis=0, out=out.arr)
-        return out
-
     def add_(self, out, x):
         np.add(out.arr, x.arr, out=out.arr)
         return out
-
-    def copy(self, x):
-        return _FakeArray(x.arr.copy())
 
     def reduce(self, x, axis=None):
         return np.sum(x.arr, axis=axis)
 
 
-class TestFusedBatchedForeignDtype:
-    """Regression: the batched fused engine gathers *backend-native*
-    stacks, so the workspace request must translate their dtype through
-    ``np_dtype`` — passing the native ``.dtype`` (e.g. ``torch.float32``)
-    into the pool's ``np.dtype``-based key crashed every split-mode GEMM
-    with >1 component pair on non-NumPy-native backends."""
+class TestFusedForeignDtype:
+    """Regression: the fused engine's ``prod`` workspace request must be
+    keyed by a NumPy dtype even when the split stacks are
+    *backend-native* — a native ``.dtype`` (e.g. ``torch.float32``) in
+    the pool's ``np.dtype``-based key crashed every split-mode GEMM with
+    >1 component pair on non-NumPy-native backends."""
 
     MODES = [
         ComputeMode.FLOAT_TO_BF16X2,
@@ -470,10 +458,10 @@ class TestFusedBatchedForeignDtype:
     ]
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name)
-    def test_batched_split_gemm_bitwise(self, mode):
+    def test_split_gemm_bitwise(self, mode):
         a = rng.standard_normal((9, 7)).astype(np.float32)
         b = rng.standard_normal((7, 8)).astype(np.float32)
-        with fused_mode("batched"), compute_mode(mode):
+        with compute_mode(mode):
             ref = gemm(a, b)
             with use_backend(FakeDeviceBackend()):
                 got = gemm(a, b)
@@ -495,13 +483,14 @@ class TestTorchBackendRegressions:
         [ComputeMode.FLOAT_TO_BF16X2, ComputeMode.FLOAT_TO_BF16X3],
         ids=lambda m: m.name,
     )
-    def test_batched_fused_split_gemm(self, mode):
-        # The batched path gathers torch-native stacks into workspace
-        # buffers — this crashed when the pool keyed on torch dtypes.
+    def test_fused_split_gemm(self, mode):
+        # The fused engine's product buffer for torch-native stacks is a
+        # workspace request — this crashed when the pool keyed on torch
+        # dtypes.
         be = get_backend("torch-cpu")
         a = rng.standard_normal((9, 7)).astype(np.float32)
         b = rng.standard_normal((7, 8)).astype(np.float32)
-        with fused_mode("batched"), compute_mode(mode):
+        with compute_mode(mode):
             ref = gemm(a, b)
             with use_backend(be):
                 got = gemm(a, b)

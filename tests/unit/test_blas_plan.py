@@ -15,11 +15,8 @@ from repro.blas.plan import (
 from repro.blas.workspace import (
     Workspace,
     clear_workspace,
-    fused_mode,
     fused_pair_products,
-    get_fused_mode,
     get_workspace,
-    set_fused_mode,
 )
 from repro.types import Precision
 
@@ -279,12 +276,7 @@ class TestWorkspace:
         assert seen["ws"] is not ws_main
         clear_workspace()
 
-    def test_fused_mode_validation(self):
-        with pytest.raises(ValueError, match="fused mode"):
-            set_fused_mode("nope")
-        assert get_fused_mode() in ("auto", "batched", "loop")
-
-    def test_fused_pair_products_both_paths_bitwise(self, rng):
+    def test_fused_pair_products_bitwise(self, rng):
         from repro.blas.split import component_pairs
 
         a_terms = np.stack(
@@ -298,12 +290,38 @@ class TestWorkspace:
         for i, j in pairs:
             prod = np.matmul(a_terms[i - 1], b_terms[j - 1])
             naive = prod if naive is None else naive + prod
-        for mode in ("batched", "loop"):
-            with fused_mode(mode):
-                out = fused_pair_products(a_terms, b_terms, pairs)
-            np.testing.assert_array_equal(
-                out.view(np.uint32), naive.view(np.uint32)
-            )
+        out = fused_pair_products(a_terms, b_terms, pairs)
+        np.testing.assert_array_equal(out.view(np.uint32), naive.view(np.uint32))
+
+    def test_psi_shaped_cgemms_keep_only_product_buffers(self, rng):
+        """Multi-term modes hold one (m, n) product buffer per dtype and
+        never gather stacked copies of the (1728, 24) operand terms."""
+        from repro.blas.gemm import cgemm
+        from repro.blas.modes import ComputeMode
+        from repro.telemetry.registry import disable, enable
+
+        def psi_like():
+            re, im = rng.standard_normal((2, 1728, 24))
+            return (re + 1j * im).astype(np.complex64)
+
+        psi, phi = psi_like(), psi_like()
+        clear_workspace()
+        t = enable()
+        try:
+            for mode in (ComputeMode.OZAKI_INT8, ComputeMode.FLOAT_TO_BF16X3):
+                out = cgemm(psi, phi, trans_a="C", mode=mode)
+        finally:
+            disable()
+        tags = {
+            dict(labels)["tag"]
+            for name, labels in t.counters
+            if name == "blas.workspace.allocations"
+        }
+        assert tags == {"prod"}
+        m, n = out.shape
+        # Ozaki pair products are float64, BF16X3 ones float32.
+        assert get_workspace().nbytes <= m * n * (8 + 4)
+        clear_workspace()
 
     def test_fused_result_is_not_a_workspace_buffer(self, rng):
         from repro.blas.split import component_pairs
@@ -352,6 +370,23 @@ class TestSplitExtension:
         cold = split_terms(x, 7, 3)
         for i in range(3):
             np.testing.assert_array_equal(extended[i], cold[i])
+
+    def test_part_extension_is_bitwise_equal_to_from_scratch(self, rng):
+        from repro.blas.rounding import split_terms
+
+        x = (rng.standard_normal((9, 13)) + 1j * rng.standard_normal((9, 13))).astype(
+            np.complex64
+        )
+        plan = PreparedOperand(x)
+        op = x.conj().T
+        for part, comp in (("re", op.real), ("im", op.imag)):
+            plan.split_stack("C", 7, 1, part=part, dtype=np.complex64)
+            extended = plan.split_stack("C", 7, 3, part=part, dtype=np.complex64)
+            cold = split_terms(np.ascontiguousarray(comp), 7, 3)
+            for i in range(3):
+                np.testing.assert_array_equal(
+                    extended[i].view(np.uint32), cold[i].view(np.uint32)
+                )
 
     def test_counters_hit_extend_full(self, rng):
         from repro.telemetry.registry import disable, enable
