@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint ci bench bench-split bench-telemetry bench-adaptive bench-backends bench-newmodes bench-distrib distrib-smoke repro report claims claim-coverage examples clean
+.PHONY: install test test-fast lint ci bench bench-split bench-telemetry bench-adaptive bench-backends bench-newmodes bench-distrib distrib-smoke perfbench-smoke repro report claims claim-coverage examples clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -58,6 +58,12 @@ bench-distrib:
 # nothing.
 distrib-smoke:
 	$(PYTHON) scripts/distrib_smoke.py
+
+# Same gate as the CI perfbench-smoke job: one short ladder-small study
+# of the end-to-end benchmark; fails unless it reports "correct": true,
+# "failed": 0 (observables gated bit for bit, timings not gated).
+perfbench-smoke:
+	$(PYTHON) scripts/perfbench_smoke.py
 
 repro:
 	$(PYTHON) -m repro.experiments.runner all --output repro_output/

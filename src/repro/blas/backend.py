@@ -165,20 +165,6 @@ class ArrayBackend:
         """NumPy result dtype of combining two native arrays."""
         raise NotImplementedError
 
-    def np_dtype(self, x) -> np.dtype:
-        """NumPy dtype equivalent of a native array's element type.
-
-        Workspace keys and allocation requests are always expressed in
-        NumPy terms (:meth:`empty` takes a NumPy dtype), so callers
-        holding a *native* array must translate through this hook
-        rather than passing ``x.dtype`` along — a torch tensor's
-        ``dtype`` is a ``torch.dtype`` that ``np.dtype`` cannot
-        interpret.  The default handles any native type whose ``dtype``
-        attribute is NumPy-compatible; backends with foreign dtype
-        objects must override.
-        """
-        return np.dtype(x.dtype)
-
     # -- compute -------------------------------------------------------
 
     def matmul(self, a, b, out=None):

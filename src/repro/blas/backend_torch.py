@@ -144,14 +144,6 @@ class TorchBackend(ArrayBackend):
     def result_dtype(self, a, b) -> np.dtype:
         return self._torch_to_np[self.torch.result_type(a, b)]
 
-    def np_dtype(self, x) -> np.dtype:
-        try:
-            return self._torch_to_np[x.dtype]
-        except KeyError:
-            raise TypeError(
-                f"torch backend has no NumPy mapping for dtype {x.dtype}"
-            ) from None
-
     # -- compute -------------------------------------------------------
 
     def matmul(self, a, b, out=None):

@@ -27,9 +27,12 @@ an operand's bytes.  The only content checks are the ones a plan's owner
 asks for (once per SCF block in the LFD loop).
 
 Caching cannot change results: every derived form is produced by
-exactly the array operations the cold path would run (same casts, same
-``ascontiguousarray`` packing, same split order), so downstream
-``np.matmul`` calls see byte-identical inputs either way.
+exactly the elementwise arithmetic the cold path would run on the same
+values (same casts, same split order, same fibre reductions), and
+memory layout never enters a rounding step, so downstream ``np.matmul``
+calls see byte-identical inputs either way.  Split stacks are built in
+place: the kernels read ``op(A)``'s real/imag parts as strided views
+and write their terms straight into the cached stack (``out=``).
 
 Backend-native mirrors: when a non-NumPy :class:`~repro.blas.backend.
 ArrayBackend` is active, the compute kernels ask the plan for *native*
@@ -100,6 +103,24 @@ def _oriented(x: np.ndarray, trans: str) -> np.ndarray:
         out = np.swapaxes(x, -1, -2)
         return out.conj() if np.iscomplexobj(out) else out
     raise ValueError(f"trans must be 'N', 'T' or 'C', got {trans!r}")
+
+
+def _op_view(x: np.ndarray, trans: str, part: Optional[str]) -> np.ndarray:
+    """``op(x)`` (real ``x``) or one part of complex ``op(x)``, read in place.
+
+    A strided view of ``x`` — transposition is ``swapaxes`` and the
+    parts are ``.real``/``.imag`` — except the imaginary part of a
+    conjugate transpose, which is one ``np.negative`` pass (conjugation
+    flips exactly the imaginary part's sign bit).
+    """
+    if part is None:
+        return _oriented(x, trans)
+    op = _oriented(x, "T" if trans == "C" else trans)
+    if part == "re":
+        return op.real
+    if trans == "C":
+        return np.negative(op.imag, order="C")
+    return op.imag
 
 
 class PreparedOperand:
@@ -210,16 +231,26 @@ class PreparedOperand:
         :func:`repro.blas.complex3m._parts` packs them.
         """
         dtype = np.dtype(dtype)
-        rdt = np.float64 if dtype == np.complex128 else np.float32
 
         def build():
             if which == "re+im":
                 return self.part(trans, dtype, "re") + self.part(trans, dtype, "im")
-            op = _oriented(self.array.astype(dtype, copy=False), trans)
-            comp = op.real if which == "re" else op.imag
-            return np.ascontiguousarray(comp, dtype=rdt)
+            return np.ascontiguousarray(self._base(trans, which, None, dtype))
 
         return self._derive(("part", trans, dtype.str, which), build)
+
+    def _base(
+        self, trans: str, part: Optional[str], real_dtype, complex_dtype
+    ) -> np.ndarray:
+        """What a split reads: ``op(A)`` cast to ``real_dtype`` (``part=None``)
+        or the ``'re'``/``'im'`` part of ``op(A)`` cast to ``complex_dtype``.
+
+        A strided view of the array whenever it already has that dtype
+        (see :func:`_op_view`), so no ``oriented``/``part`` copy is made
+        or cached; the split kernels read it in place.
+        """
+        dtype = real_dtype if part is None else complex_dtype
+        return _op_view(self.array.astype(dtype, copy=False), trans, part)
 
     def split_stack(
         self,
@@ -245,9 +276,11 @@ class PreparedOperand:
         escalation (BF16 → BF16X2/X3) takes, so a mode switch never
         re-prepares the whole operand.  No residual is cached beside
         the split: :func:`~repro.blas.rounding.extend_split` rebuilds it
-        from the cached base array by subtracting the cached terms in
-        order, the same FP32 subtraction sequence a from-scratch split
-        runs, so extension is bitwise-exact.
+        from op(A) by subtracting the cached terms in order, the same
+        FP32 subtraction sequence a from-scratch split runs, so
+        extension is bitwise-exact.  Either way the terms are written
+        straight into the new stack (``out=``) from a strided view of
+        op(A) (:meth:`_base`).
         """
         key = ("split", trans, keep_bits, n_terms, part)
         t = _telemetry_active()
@@ -269,15 +302,13 @@ class PreparedOperand:
             prev = self._derived.get(("split", trans, keep_bits, n, part))
             if prev is not None:
                 break
-        if part is None:
-            base = self.oriented(trans, np.float32)
-        else:
-            base = self.part(trans, np.dtype(dtype or np.complex64), part)
+        base = self._base(trans, part, np.float32, dtype or np.complex64)
+        stack = np.empty((n_terms,) + base.shape, dtype=np.float32)
         if prev is not None:
-            terms = extend_split(tuple(prev), base, keep_bits, n_terms - len(prev))
+            extend_split(prev, base, keep_bits, n_terms - len(prev), out=stack)
             result = "extend"
         else:
-            terms, _ = split_terms_residual(base, keep_bits, n_terms)
+            split_terms_residual(base, keep_bits, n_terms, out=stack)
             result = "full"
         if t is not None:
             t.count(
@@ -286,9 +317,8 @@ class PreparedOperand:
                 mode=_split_mode_label(keep_bits, n_terms),
                 site=_current_site_id() or "-",
             )
-        built = np.stack(terms)
         with self._lock:
-            return self._derived.setdefault(key, built)
+            return self._derived.setdefault(key, stack)
 
     def ozaki_stack(
         self,
@@ -304,21 +334,21 @@ class PreparedOperand:
         ``operand`` selects the contraction axis of the fibre scaling:
         ``'a'`` scales per row (axis -1), ``'b'`` per column (axis -2)
         — the orientation that keeps every output dot product on one
-        fixed power-of-two scale per slice pair.  Derivation replicates
-        :func:`repro.blas.rounding.ozaki_slice_terms` on the exact base
-        array the cold path would build, so cached and fresh stacks are
-        bitwise identical.
+        fixed power-of-two scale per slice pair.  The stack is filled
+        in place by :func:`repro.blas.rounding.ozaki_slice_terms` from a
+        strided view of op(A) (:meth:`_base`): the same values and fibres
+        as the cold path, so cached and fresh stacks are bitwise
+        identical.
         """
         if operand not in ("a", "b"):
             raise ValueError(f"operand must be 'a' or 'b', got {operand!r}")
         axis = -1 if operand == "a" else -2
 
         def build():
-            if part is None:
-                base = self.oriented(trans, np.float32)
-            else:
-                base = self.part(trans, np.dtype(dtype or np.complex64), part)
-            return np.stack(ozaki_slice_terms(base, n_slices, axis=axis))
+            base = self._base(trans, part, np.float32, dtype or np.complex64)
+            stack = np.empty((n_slices,) + base.shape, dtype=np.float64)
+            ozaki_slice_terms(base, n_slices, axis=axis, out=stack)
+            return stack
 
         return self._derive(("ozaki", trans, n_slices, part, operand), build)
 
@@ -343,11 +373,10 @@ class PreparedOperand:
         double = wdt in (np.dtype(np.float64), np.dtype(np.complex128))
 
         def build():
-            if part is None:
-                base = self.oriented(trans, np.float64 if double else np.float32)
-            else:
-                base = self.part(trans, wdt, part)
-            return np.stack(emulated_fp64_split_terms(base, n_terms))
+            base = self._base(trans, part, np.float64 if double else np.float32, wdt)
+            stack = np.empty((n_terms,) + base.shape, dtype=np.float64)
+            emulated_fp64_split_terms(base, n_terms, out=stack)
+            return stack
 
         return self._derive(("efp64", trans, n_terms, part, double), build)
 
@@ -414,7 +443,8 @@ class OrientedOperand:
 
     @property
     def shape(self) -> Tuple[int, ...]:
-        return _oriented(self.plan.array, self.trans).shape
+        shape = self.plan.array.shape
+        return shape if self.trans == "N" else shape[:-2] + (shape[-1], shape[-2])
 
     def contiguous(self) -> np.ndarray:
         return self.plan.oriented(self.trans, self.dtype)

@@ -19,7 +19,7 @@ passed through untouched.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,10 +47,23 @@ __all__ = [
 OZAKI_SLICE_BITS = 7
 
 _FP32_MANTISSA = 23
-_EXP_MASK = np.uint32(0x7F800000)
 
 
-def round_mantissa(x: np.ndarray, keep_bits: int) -> np.ndarray:
+def _checked_out(out, shape, dtype) -> np.ndarray:
+    """``out`` validated as a writable ``shape``/``dtype`` array, or a fresh one."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if out.shape != tuple(shape) or out.dtype != dtype:
+        raise ValueError(
+            f"out must be a {np.dtype(dtype).name} array of shape {tuple(shape)}, "
+            f"got {out.dtype.name} {out.shape}"
+        )
+    return out
+
+
+def round_mantissa(
+    x: np.ndarray, keep_bits: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Round FP32 array ``x`` to ``keep_bits`` mantissa bits with RNE.
 
     Returns a *float32* array whose values are exactly representable in
@@ -62,34 +75,49 @@ def round_mantissa(x: np.ndarray, keep_bits: int) -> np.ndarray:
     x:
         Array convertible to ``float32``.  Inputs of other float widths
         are first cast to FP32 (itself an RNE rounding), mirroring what
-        happens when data is handed to an FP32 BLAS call.
+        happens when data is handed to an FP32 BLAS call.  Strided
+        float32 views are read in place.
     keep_bits:
         Number of explicit mantissa bits to retain, in ``[0, 23]``.
+    out:
+        Optional float32 array of ``x``'s shape (any strides) that
+        receives the result; it must not overlap ``x``.  Without it a
+        fresh C-contiguous array is returned.
     """
     if not 0 <= keep_bits <= _FP32_MANTISSA:
         raise ValueError(f"keep_bits must be in [0, 23], got {keep_bits}")
-    x32 = np.ascontiguousarray(x, dtype=np.float32)
+    x32 = np.asarray(x, dtype=np.float32)
+    out = _checked_out(out, x32.shape, np.float32)
+    if np.may_share_memory(out, x32):
+        raise ValueError("round_mantissa: out must not overlap x")
     if keep_bits == _FP32_MANTISSA:
-        return x32.copy() if x32 is x else x32
+        np.copyto(out, x32)
+        return out
     drop = _FP32_MANTISSA - keep_bits
     u = x32.view(np.uint32)
+    o = out.view(np.uint32)
     # All shift/mask constants as np.uint32: mixing Python ints into
     # uint32 ops relies on NumPy's value-based casting, which NumPy >= 2
     # (NEP 50) resolves differently (and loudly) — keep every operand in
     # the array's dtype so the arithmetic is unambiguous and warning-free.
     half = np.uint32((1 << (drop - 1)) - 1)
-    guard = (u >> np.uint32(drop)) & np.uint32(1)
     keep_mask = np.uint32((0xFFFFFFFF << drop) & 0xFFFFFFFF)
-    # `u + half + guard` wraps (mod 2^32) only for Inf/NaN patterns,
-    # whose results are discarded by the `special` restore below; for
-    # every finite input the sum stays in range and a mantissa overflow
-    # carries into the exponent — exactly IEEE round-up (see the
-    # regression test at the all-ones-mantissa boundary).
-    rounded = (u + half + guard) & keep_mask
-    # Preserve Inf/NaN bit patterns: the add above would corrupt them.
-    special = (u & _EXP_MASK) == _EXP_MASK
-    out = np.where(special, u, rounded)
-    return out.view(np.float32)
+    # o = (u + half + guard) & keep_mask, one in-place pass per step.
+    # The sum wraps (mod 2^32) only for Inf/NaN patterns; for every
+    # finite input it stays in range and a mantissa overflow carries
+    # into the exponent — exactly IEEE round-up (see the regression
+    # test at the all-ones-mantissa boundary).
+    np.right_shift(u, np.uint32(drop), out=o)
+    np.bitwise_and(o, np.uint32(1), out=o)
+    np.add(o, half, out=o)
+    np.add(o, u, out=o)
+    np.bitwise_and(o, keep_mask, out=o)
+    # Inf (zero mantissa, zero guard bit) survives the masked add
+    # unchanged; NaN patterns do not, so restore them from the input.
+    nan = np.isnan(x32)
+    if nan.any():
+        np.copyto(o, u, where=nan)
+    return out
 
 
 def round_fp32_to_bf16(x: np.ndarray) -> np.ndarray:
@@ -129,19 +157,11 @@ def split_terms(x: np.ndarray, keep_bits: int, n_terms: int) -> Tuple[np.ndarray
     ``FLOAT_TO_BF16X{2,3}`` modes use: ``x ~= t1 + t2 + t3`` with each
     term representable in BF16.
     """
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    residual = np.ascontiguousarray(x, dtype=np.float32)
-    terms = []
-    for _ in range(n_terms):
-        t = round_mantissa(residual, keep_bits)
-        terms.append(t)
-        residual = residual - t
-    return tuple(terms)
+    return split_terms_residual(x, keep_bits, n_terms)[0]
 
 
 def split_terms_residual(
-    x: np.ndarray, keep_bits: int, n_terms: int
+    x: np.ndarray, keep_bits: int, n_terms: int, out: Optional[np.ndarray] = None
 ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
     """Like :func:`split_terms` but also return the final FP32 residual.
 
@@ -150,23 +170,27 @@ def split_terms_residual(
     the first ``n`` terms of an ``(n + k)``-term split are bitwise equal
     to the ``n``-term split (the prefix property
     :func:`extend_split` relies on).
+
+    ``out`` is an optional float32 ``(n_terms, *x.shape)`` stack that
+    receives the terms (returned as its rows); ``x`` may be any strided
+    view.  One residual buffer is updated in place.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    residual = np.ascontiguousarray(x, dtype=np.float32)
-    terms = []
-    for _ in range(n_terms):
-        t = round_mantissa(residual, keep_bits)
-        terms.append(t)
-        residual = residual - t
-    return tuple(terms), residual
+    residual = np.array(x, dtype=np.float32, order="C")
+    out = _checked_out(out, (n_terms,) + residual.shape, np.float32)
+    for t in out:
+        round_mantissa(residual, keep_bits, out=t)
+        np.subtract(residual, t, out=residual)
+    return tuple(out), residual
 
 
 def extend_split(
-    terms: Tuple[np.ndarray, ...],
+    terms: Sequence[np.ndarray],
     x: np.ndarray,
     keep_bits: int,
     extra_terms: int,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, ...]:
     """Append ``extra_terms`` more components to the split ``terms`` of ``x``.
 
@@ -176,17 +200,22 @@ def extend_split(
     runs, so the returned terms are bitwise identical to a from-scratch
     split of ``x`` with ``len(terms) + extra_terms`` terms.  Callers
     therefore need not keep a full-size residual beside every split.
+
+    ``out`` is an optional float32 ``(len(terms) + extra_terms,
+    *x.shape)`` stack: ``terms`` are copied into its leading rows and
+    the new terms are rounded straight into the rest.
     """
     if extra_terms < 1:
         raise ValueError(f"extra_terms must be >= 1, got {extra_terms}")
-    residual = np.ascontiguousarray(x, dtype=np.float32)
-    for t in terms:
-        residual = residual - t
-    out = list(terms)
-    for _ in range(extra_terms):
-        t = round_mantissa(residual, keep_bits)
-        out.append(t)
-        residual = residual - t
+    residual = np.array(x, dtype=np.float32, order="C")
+    n_prev = len(terms)
+    out = _checked_out(out, (n_prev + extra_terms,) + residual.shape, np.float32)
+    for t, prev in zip(out, terms):
+        np.copyto(t, prev)
+        np.subtract(residual, t, out=residual)
+    for t in out[n_prev:]:
+        round_mantissa(residual, keep_bits, out=t)
+        np.subtract(residual, t, out=residual)
     return tuple(out)
 
 
@@ -200,7 +229,9 @@ def split_tf32(x: np.ndarray, n_terms: int = 1) -> Tuple[np.ndarray, ...]:
     return split_terms(x, MANTISSA_BITS[Precision.TF32], n_terms)
 
 
-def ozaki_slice_terms(x: np.ndarray, n_slices: int, axis: int) -> Tuple[np.ndarray, ...]:
+def ozaki_slice_terms(
+    x: np.ndarray, n_slices: int, axis: int, out: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, ...]:
     """Ozaki-scheme decomposition into scaled-INT8 slice terms.
 
     Every element of ``x`` is written as a sum of ``n_slices`` terms
@@ -224,28 +255,35 @@ def ozaki_slice_terms(x: np.ndarray, n_slices: int, axis: int) -> Tuple[np.ndarr
     fractional-part extraction of a float64 below 128 is exact.  After
     ``s`` slices the unrepresented remainder of an element is below
     ``2**(e - 7s)``, i.e. below ``2**(1-7s)`` of its fibre's absmax.
+
+    ``out`` is an optional float64 ``(n_slices, *x.shape)`` stack that
+    receives the terms (returned as its rows); ``x`` may be any strided
+    view.  The running remainder lives in one float64 buffer.
     """
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")
-    x64 = np.ascontiguousarray(x, dtype=np.float64)
-    if x64.ndim < 2:
-        raise ValueError(f"ozaki_slice_terms needs >= 2-D input, got {x64.ndim}-D")
-    absmax = np.max(np.abs(x64), axis=axis, keepdims=True)
+    r = np.array(x, dtype=np.float64, order="C")
+    if r.ndim < 2:
+        raise ValueError(f"ozaki_slice_terms needs >= 2-D input, got {r.ndim}-D")
+    out = _checked_out(out, (n_slices,) + r.shape, np.float64)
+    # |x| goes through the first slice's row as scratch.
+    absmax = np.max(np.abs(r, out=out[0]), axis=axis, keepdims=True)
     # frexp: absmax = f * 2**e with f in [0.5, 1) -> absmax < 2**e and
     # the scale is an exact power of two (zero fibres get e = 0).
     _, e = np.frexp(absmax)
-    r = np.ldexp(x64, -e)               # |r| < 1, exact
+    np.ldexp(r, -e, out=r)              # |r| < 1, exact
     radix = float(1 << OZAKI_SLICE_BITS)
-    terms = []
-    for i in range(n_slices):
-        shifted = r * radix             # |shifted| < 128, exact
-        q = np.trunc(shifted)           # integer slice, |q| <= 127
-        r = shifted - q                 # exact fractional remainder
-        terms.append(np.ldexp(q, e - OZAKI_SLICE_BITS * (i + 1)))
-    return tuple(terms)
+    for i, q in enumerate(out):
+        np.multiply(r, radix, out=r)    # shifted: |r| < 128, exact
+        np.trunc(r, out=q)              # integer slice, |q| <= 127
+        np.subtract(r, q, out=r)        # exact fractional remainder
+        np.ldexp(q, e - OZAKI_SLICE_BITS * (i + 1), out=q)
+    return tuple(out)
 
 
-def emulated_fp64_split_terms(x: np.ndarray, n_terms: int) -> Tuple[np.ndarray, ...]:
+def emulated_fp64_split_terms(
+    x: np.ndarray, n_terms: int, out: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, ...]:
     """Decompose FP64 data into ``n_terms`` FP32-representable terms.
 
     Greedy residual extraction at FP32 granularity: ``t1 = fp32(x)``,
@@ -259,16 +297,19 @@ def emulated_fp64_split_terms(x: np.ndarray, n_terms: int) -> Tuple[np.ndarray, 
 
     The terms are returned as float64 arrays holding FP32-representable
     values, ready for exact pair products under float64 matmul.
+    ``out`` is an optional float64 ``(n_terms, *x.shape)`` stack that
+    receives them (returned as its rows); ``x`` may be any strided view.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    residual = np.ascontiguousarray(x, dtype=np.float64)
-    terms = []
-    for _ in range(n_terms):
-        t = residual.astype(np.float32).astype(np.float64)
-        terms.append(t)
-        residual = residual - t
-    return tuple(terms)
+    residual = np.array(x, dtype=np.float64, order="C")
+    out = _checked_out(out, (n_terms,) + residual.shape, np.float64)
+    narrow = np.empty(residual.shape, dtype=np.float32)
+    for t in out:
+        np.copyto(narrow, residual, casting="same_kind")  # fp32(residual)
+        np.copyto(t, narrow)                               # exact widening
+        np.subtract(residual, t, out=residual)
+    return tuple(out)
 
 
 def max_relative_error(keep_bits: int) -> float:

@@ -139,7 +139,7 @@ class ClaimOutcome:
 
     status: str  #: "claimed" | "held"
     attempt: int = 1
-    takeover: bool = False  #: claimed by replacing an expired lease
+    takeover: bool = False  #: claimed by replacing an expired or own lease
     corrupt: bool = False  #: the previous lease record was undecodable
     holder: Optional[str] = None  #: current holder when status == "held"
     age: float = 0.0  #: seconds since the held lease was claimed
@@ -250,7 +250,11 @@ class WorkQueue:
         Vacant lease: won through an exclusive hard link (exactly one
         winner).  Expired or undecodable lease: taken over via atomic
         replace — a takeover race can duplicate execution, never lose
-        it.  An active lease held elsewhere returns ``"held"``.
+        it.  An unexpired lease naming ``worker`` itself is taken over
+        at once: a worker runs one cell at a time, so that lease belongs
+        to a dead incarnation (a restarted ``w0``), and waiting for it to
+        expire would tie resume latency to the lease length.  An active
+        lease held elsewhere returns ``"held"``.
         """
         now = time.time() if now is None else now
         path = self.lease_path(index)
@@ -265,7 +269,11 @@ class WorkQueue:
         if _exclusive_write(path, json.dumps(record)):
             return ClaimOutcome(status="claimed", attempt=1)
         prev = _read_json_tolerant(path)
-        if prev is not None and float(prev.get("deadline_unix", 0.0)) > now:
+        if (
+            prev is not None
+            and prev.get("worker") != worker
+            and float(prev.get("deadline_unix", 0.0)) > now
+        ):
             return ClaimOutcome(
                 status="held",
                 attempt=int(prev.get("attempt", 1)),

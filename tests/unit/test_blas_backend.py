@@ -133,10 +133,6 @@ class TestNumpyBackendOps:
         assert caps.device == "cpu"
         assert NUMPY_BACKEND.cache_key == "numpy"
 
-    def test_np_dtype(self):
-        x = np.ones(3, dtype=np.complex64)
-        assert NUMPY_BACKEND.np_dtype(x) == np.dtype(np.complex64)
-
 
 class TestSelection:
     def test_default_is_numpy(self):
@@ -427,9 +423,6 @@ class FakeDeviceBackend(ArrayBackend):
     def result_dtype(self, a, b):
         return np.result_type(a.arr.dtype, b.arr.dtype)
 
-    def np_dtype(self, x):
-        return x.dtype.np
-
     def matmul(self, a, b, out=None):
         if out is None:
             return _FakeArray(np.matmul(a.arr, b.arr))
@@ -472,11 +465,6 @@ class TestTorchBackendRegressions:
     """Torch-specific regressions (skipped only when torch is absent)."""
 
     pytestmark = pytest.mark.skipif(not HAVE_TORCH, reason="torch not installed")
-
-    def test_np_dtype_maps_torch_dtypes(self):
-        be = get_backend("torch-cpu")
-        native = be.to_native(np.ones(3, dtype=np.float32))
-        assert be.np_dtype(native) == np.dtype(np.float32)
 
     @pytest.mark.parametrize(
         "mode",

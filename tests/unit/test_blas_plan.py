@@ -76,6 +76,23 @@ class TestPreparedOperand:
         for i, term in enumerate(split_terms(x, 7, 3)):
             np.testing.assert_array_equal(stack[i], term)
 
+    def test_split_modes_cache_no_oriented_or_part_copies(self, rng):
+        """Split stacks read op(A)'s parts as strided views: a prepared
+        operand keeps only its stacks, not contiguous copies of op(A)."""
+        from repro.blas.gemm import cgemm
+        from repro.blas.modes import ComputeMode
+
+        re, im = rng.standard_normal((2, 40, 6))
+        psi0 = prepare((re + 1j * im).astype(np.complex64))
+        re, im = rng.standard_normal((2, 40, 5))
+        psi = (re + 1j * im).astype(np.complex64)
+        for mode in (ComputeMode.FLOAT_TO_BF16X3, ComputeMode.OZAKI_INT8):
+            cgemm(psi0, psi, trans_a="C", mode=mode)
+        kinds = {key[0] for key in psi0._derived}
+        assert {"split", "ozaki"} <= kinds
+        assert not kinds & {"oriented", "part"}
+        release(psi0)
+
     def test_oriented_n_same_dtype_is_zero_copy(self, rng):
         # A contiguous same-dtype operand needs no derived copy at all:
         # the cache serves the backing array itself.

@@ -1,6 +1,7 @@
 """Unit tests for the file-backed work queue: leases, shards, merge."""
 
 import json
+import threading
 import time
 
 import pytest
@@ -53,6 +54,33 @@ class TestLeaseProtocol:
         assert outcome.status == "claimed"
         assert outcome.takeover is True
         assert outcome.attempt == 2
+
+    def test_own_unexpired_lease_taken_over_at_once(self, tmp_path):
+        q = make_queue(tmp_path, lease_seconds=3600.0)
+        now = time.time()
+        assert q.try_claim(0, "w0", now=now).status == "claimed"
+        assert q.try_claim(0, "w1", now=now + 1.0).status == "held"
+        outcome = q.try_claim(0, "w0", now=now + 1.0)  # restarted w0
+        assert outcome.status == "claimed"
+        assert outcome.takeover is True
+        assert outcome.attempt == 2
+        assert q.read_lease(0)["deadline_unix"] == now + 1.0 + 3600.0
+
+    def test_restarted_worker_resumes_without_waiting_out_its_lease(self, tmp_path):
+        from repro.distrib.worker import run_worker
+
+        q = make_queue(tmp_path, n_cells=2, lease_seconds=3600.0)
+        q.try_claim(1, "w0")  # the lease a killed w0 left behind
+        done = []
+        thread = threading.Thread(
+            target=lambda: done.append(run_worker(q.root, worker_id="w0", apply_env=False)),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert done == [2]
+        assert q.all_done()
 
     def test_renew_extends_only_own_lease(self, tmp_path):
         q = make_queue(tmp_path, lease_seconds=10.0)
