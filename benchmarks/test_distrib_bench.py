@@ -3,7 +3,7 @@
 Two gated claims from ISSUE/ROADMAP item 4:
 
 * **pool speedup** — a multi-cell grid on a 4-worker local pool must
-  finish >= 2.5x faster than the serial ``--jobs 1``-equivalent loop.
+  finish >= 2.5x faster than the serial loop.
   Cells are *synthetic fixed-service-time* cells (the body blocks
   without burning CPU, modelling the device/IO-bound cells the paper's
   grids are made of — on this repo's device-model sweep the cell body
@@ -82,7 +82,7 @@ def _wait_done(queue, timeout):
 
 
 def _serial_wall(spec: SweepSpec) -> float:
-    """The --jobs 1 equivalent: one loop, no queue, no processes."""
+    """The serial loop: no queue, no processes."""
     t0 = time.perf_counter()
     for cell in spec.cells():
         run_cell(cell, dict(spec.params))

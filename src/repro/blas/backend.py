@@ -36,10 +36,10 @@ Thread scoping: ``set_backend`` (and the env var) install the
 **process-wide default**, visible to every thread; ``use_backend``
 installs a **thread-local override** and restores it on exit, so
 concurrent scoped selections in different threads can never interleave
-or restore each other's state.  Code that fans work out to a thread
-pool from inside a ``use_backend`` scope must capture
-:func:`active_backend` at submission and re-enter it in the worker
-(``blas_sweep.parallel_mode_sweep`` and ``runner --jobs`` do).
+or restore each other's state.  The override does not reach threads
+started inside the scope, nor the fresh interpreters :mod:`repro.distrib`
+launches; those workers get the backend from the environment the driver
+captures into the queue manifest (``repro.distrib.collector.capture_env``).
 
 Hot-path contract: the default path costs one :func:`active_backend`
 call per GEMM (a thread-local attribute probe falling back to one

@@ -18,10 +18,9 @@ Two evaluation paths are provided:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.blas.modes import ComputeMode
 from repro.core.theoretical import peak_theoretical_speedup
@@ -36,60 +35,15 @@ __all__ = [
     "remap_gemm_shape",
     "SWEEP_MODES",
     "PAPER_SWEEP_MODES",
-    "parallel_mode_sweep",
 ]
 
-_T = TypeVar("_T")
+def _mode_span(mode: ComputeMode):
+    """The per-mode ``mode_sweep`` span; a no-op while telemetry is off."""
+    t = _telemetry_active()
+    if t is None:
+        return contextlib.nullcontext()
+    return t.span("mode_sweep", cat="sweep", mode=mode.env_value)
 
-
-def parallel_mode_sweep(
-    worker: Callable[[ComputeMode], _T],
-    modes: Optional[Iterable[ComputeMode]] = None,
-    max_workers: Optional[int] = None,
-) -> List[_T]:
-    """Evaluate ``worker(mode)`` for every mode concurrently.
-
-    The compute modes are independent of each other — each run reads
-    its own inputs and the mode is passed *explicitly* (never via the
-    thread-local ambient mode), so fanning them out over a thread pool
-    is safe; NumPy's BLAS releases the GIL inside the matmuls.  Results
-    come back in mode order, exactly like the serial loop.
-
-    Backend selection *is* thread-scoped (``use_backend``), so the
-    caller's ambient backend is captured at submission and re-entered
-    in each worker — a sweep inside ``use_backend("torch")`` runs every
-    mode on torch, same as the serial loop.
-    """
-    modes = list(SWEEP_MODES if modes is None else modes)
-    if not modes:
-        return []
-
-    def run_one(mode: ComputeMode) -> _T:
-        # Per-mode span so a sweep's phase structure shows up in the
-        # exported traces; a plain passthrough while telemetry is off.
-        t = _telemetry_active()
-        if t is None:
-            return worker(mode)
-        with t.span(
-            "mode_sweep", cat="sweep", mode=getattr(mode, "env_value", str(mode))
-        ):
-            return worker(mode)
-
-    workers = max_workers or min(len(modes), os.cpu_count() or 1)
-    if workers <= 1 or len(modes) == 1:
-        return [run_one(m) for m in modes]
-
-    from repro.blas.backend import active_backend, use_backend
-
-    ambient = active_backend()
-
-    def run_pooled(mode: ComputeMode) -> _T:
-        with use_backend(ambient):
-            return run_one(mode)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_pooled, m) for m in modes]
-        return [f.result() for f in futures]
 
 #: Orbital counts of Fig. 3b / Table VII.
 FIG3B_NORBS = (256, 1024, 2048, 4096)
@@ -155,46 +109,30 @@ class BlasSweep:
         self,
         norbs: Sequence[int] = FIG3B_NORBS,
         modes: Iterable[ComputeMode] = SWEEP_MODES,
-        max_workers: Optional[int] = None,
     ) -> List[SweepPoint]:
-        """All Fig. 3b points on the device model.
-
-        ``max_workers > 1`` fans the (independent) modes out over a
-        thread pool via :func:`parallel_mode_sweep`; the returned point
-        order is identical to the serial evaluation.
-        """
+        """All Fig. 3b points on the device model, in n_orb-major order."""
         modes = list(modes)
+        norbs = list(norbs)
+        by_mode: Dict[ComputeMode, List[SweepPoint]] = {}
+        for mode in modes:
+            with _mode_span(mode):
+                by_mode[mode] = [self._model_point(n_orb, mode) for n_orb in norbs]
+        return [by_mode[mode][i] for i in range(len(norbs)) for mode in modes]
 
-        def eval_mode(mode: ComputeMode) -> List[SweepPoint]:
-            points: List[SweepPoint] = []
-            for n_orb in norbs:
-                m, n, k = remap_gemm_shape(n_orb)
-                fp32 = self.model.seconds(self.routine, m, n, k, ComputeMode.STANDARD)
-                alt = self.model.seconds(self.routine, m, n, k, mode)
-                t = _telemetry_active()
-                if t is not None:
-                    # Device-model evaluations are not emulation calls;
-                    # they get their own counter series.
-                    t.count("blas.model_calls", 2, routine=self.routine,
-                            mode=mode.env_value)
-                points.append(
-                    SweepPoint(
-                        n_orb=n_orb, mode=mode, m=m, n=n, k=k,
-                        fp32_seconds=fp32, mode_seconds=alt,
-                    )
-                )
-            return points
-
-        # Serial unless explicitly asked (None -> 1): keeps the default
-        # behaviour identical to the historical loop.
-        per_mode = parallel_mode_sweep(eval_mode, modes, max_workers=max_workers or 1)
-        # Reassemble in the serial loop's (n_orb-major) order.
-        by_mode = dict(zip(modes, per_mode))
-        return [
-            by_mode[mode][i]
-            for i in range(len(list(norbs)))
-            for mode in modes
-        ]
+    def _model_point(self, n_orb: int, mode: ComputeMode) -> SweepPoint:
+        m, n, k = remap_gemm_shape(n_orb)
+        fp32 = self.model.seconds(self.routine, m, n, k, ComputeMode.STANDARD)
+        alt = self.model.seconds(self.routine, m, n, k, mode)
+        t = _telemetry_active()
+        if t is not None:
+            # Device-model evaluations are not emulation calls;
+            # they get their own counter series.
+            t.count("blas.model_calls", 2, routine=self.routine,
+                    mode=mode.env_value)
+        return SweepPoint(
+            n_orb=n_orb, mode=mode, m=m, n=n, k=k,
+            fp32_seconds=fp32, mode_seconds=alt,
+        )
 
     def sweep_distributed(
         self,
@@ -269,7 +207,6 @@ class BlasSweep:
         shrink: int = 512,
         repeats: int = 3,
         seed: int = 0,
-        max_workers: Optional[int] = None,
     ) -> List[SweepPoint]:
         """Fig. 3b evaluated by *actually timing the software emulation*
         on shrunken shapes (``k`` divided by ``shrink``).
@@ -278,13 +215,8 @@ class BlasSweep:
         a CPU the split modes cost extra component products rather than
         saving silicon, so mode "speedups" come out *below* one in
         proportion to their product counts — which is itself a useful
-        check that the emulation does the work it claims.
-
-        ``max_workers > 1`` times the modes concurrently (they are
-        independent; each call passes its mode explicitly).  Use it for
-        throughput when scanning many shapes — for publication-grade
-        wall-clock numbers keep the default serial path, where timings
-        cannot contend for cores.
+        check that the emulation does the work it claims.  The modes are
+        timed one after another, so no timing contends for cores.
         """
         import time
 
@@ -310,10 +242,9 @@ class BlasSweep:
                 return best
 
             fp32 = best_time(ComputeMode.STANDARD)
-            mode_seconds = parallel_mode_sweep(
-                best_time, modes, max_workers=max_workers or 1
-            )
-            for mode, secs in zip(modes, mode_seconds):
+            for mode in modes:
+                with _mode_span(mode):
+                    secs = best_time(mode)
                 points.append(
                     SweepPoint(
                         n_orb=n_orb, mode=mode, m=m, n=n, k=k,

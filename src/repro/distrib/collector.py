@@ -1,12 +1,11 @@
 """Ambient-environment capture/re-entry + streamed telemetry merge.
 
-Threads inherit the process's ambient precision state — the active
-backend, the compute-mode env var, the Ozaki slice count, whether
-telemetry/drift/adaptive are on — for free, which is why
-``parallel_mode_sweep`` only has to re-enter the backend.  Worker
-*processes* inherit none of it, so the driver captures the effective
-state (:func:`capture_env`), stores it in the queue manifest, and each
-worker re-applies it before touching a cell (:func:`apply_captured_env`).
+Worker processes inherit none of the driver's ambient precision
+state — the active backend, the compute-mode env var, the Ozaki slice
+count, whether telemetry/drift/adaptive are on — so the driver
+captures the effective state (:func:`capture_env`), stores it in the
+queue manifest, and each worker re-applies it before touching a cell
+(:func:`apply_captured_env`).
 
 Capture reads the *programmatic* state, not just ``os.environ``: a
 driver that called ``set_backend("torch-cpu")`` or

@@ -28,9 +28,9 @@ Atomicity rules (POSIX-local, no locks held across work):
 * **results/telemetry shards** are append-only and single-writer
   (one file per worker), so no cross-process append race exists at
   all.  A crash can truncate at most the trailing record of a shard;
-  readers drop undecodable lines and count them
-  (``distrib.corrupt_records``) instead of failing — the affected
-  cell simply runs again.
+  the next append starts a fresh line after it, and readers drop
+  undecodable lines and count them (``distrib.corrupt_records``)
+  instead of failing — the affected cell simply runs again.
 
 This is the substrate of checkpoint/resume: completion state lives
 only in the shards, so a restarted driver (or a brand-new worker on
@@ -377,8 +377,15 @@ class WorkQueue:
         line = json.dumps(record)
         if "\n" in line:  # defensive: JSONL integrity over exotic payloads
             raise ValueError("JSONL record serialised with an embedded newline")
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
+        with open(path, "a+b") as fh:
+            # A crash mid-append leaves a torn last line; start a new line
+            # so this record is not glued onto it and lost with it.
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    line = "\n" + line
+            fh.write((line + "\n").encode())
             fh.flush()
 
     # -- merge-side scanning -------------------------------------------

@@ -8,8 +8,7 @@ which makes multi-host launch trivial: point more processes at a
 directory every host can mount.  On start-up the worker re-applies the
 environment the driver captured into the manifest
 (:func:`repro.distrib.collector.apply_captured_env`), so backend /
-compute-mode / telemetry / drift state match the submitting process —
-the process analogue of what ``parallel_mode_sweep`` does for threads.
+compute-mode / telemetry / drift state match the submitting process.
 
 The loop, each pass over the manifest order:
 

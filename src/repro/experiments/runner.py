@@ -38,18 +38,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the larger (slower) variant of simulation-backed experiments",
     )
     parser.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help="run up to N experiments concurrently (they are independent; "
-        "each passes its compute mode explicitly, so the fan-out is safe)",
-    )
-    parser.add_argument(
         "--distrib", type=int, default=0, metavar="N",
         help="run the experiments through the repro.distrib work-queue "
         "engine on N local worker processes (checkpointable, "
-        "work-stealing; see docs/DISTRIBUTED.md).  Unlike --jobs "
-        "threads, workers are separate processes that re-enter the "
-        "ambient backend/mode/telemetry environment; outputs are still "
-        "printed in deterministic serial order",
+        "work-stealing; see docs/DISTRIBUTED.md) instead of one after "
+        "another in this process.  Workers re-enter the ambient "
+        "backend/mode/telemetry environment; outputs are printed in the "
+        "same order as a serial run",
     )
     parser.add_argument(
         "--telemetry", default=None, metavar="DIR",
@@ -122,8 +117,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.telemetry is not None:
         # One collector spans every requested experiment; the traces
-        # and the summary table land in the directory on exit.  The
-        # collector is thread-safe, so --jobs fan-out is covered too.
+        # and the summary table land in the directory on exit.  A
+        # --distrib run merges its workers' per-cell telemetry into it.
         from repro.telemetry import telemetry as telemetry_scope
 
         scope = telemetry_scope(out_dir=args.telemetry)
@@ -148,13 +143,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     with backend_scope, scope:
         if args.distrib > 0:
-            # Work-queue fan-out over worker *processes*: the driver
+            # Work-queue fan-out over worker processes: the driver
             # captures the ambient backend/mode/telemetry environment
-            # into the queue manifest and every worker re-enters it
-            # (the process analogue of the --jobs thread pool).  Cell
-            # results merge back here — including per-cell telemetry,
-            # so one run_report.md covers the whole pool — and are
-            # printed in the deterministic serial order.
+            # into the queue manifest and every worker re-enters it.
+            # Cell results merge back here — including per-cell
+            # telemetry, so one run_report.md covers the whole pool —
+            # and are printed in the deterministic serial order.
             from repro.distrib import SweepSpec, submit
 
             spec = SweepSpec(
@@ -170,29 +164,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             for name in names:
                 print(by_name[name])
                 print()
-        elif args.jobs > 1 and len(names) > 1:
-            # Independent artifacts fan out over a thread pool (NumPy
-            # releases the GIL in the GEMMs); outputs are printed in the
-            # deterministic serial order regardless of completion order.
-            # Backend selection is thread-scoped, so capture the ambient
-            # backend here and re-enter it in each worker — otherwise
-            # --backend would silently not apply to pooled experiments.
-            from concurrent.futures import ThreadPoolExecutor
-
-            from repro.blas.backend import active_backend
-            from repro.blas.backend import use_backend as _use_backend
-
-            ambient = active_backend()
-
-            def run_in_worker(name):
-                with _use_backend(ambient):
-                    return run_experiment(name, fast=not args.full, output_dir=args.output)
-
-            with ThreadPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
-                futures = [pool.submit(run_in_worker, name) for name in names]
-                for future in futures:
-                    print(future.result()["text"])
-                    print()
         else:
             for name in names:
                 result = run_experiment(name, fast=not args.full, output_dir=args.output)

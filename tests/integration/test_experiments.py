@@ -155,3 +155,11 @@ class TestRunnerCli:
 
         assert main(["table1", "--output", str(tmp_path)]) == 0
         assert (tmp_path / "table1.csv").exists()
+
+    def test_distrib_prints_the_serial_output(self, capsys):
+        from repro.experiments.runner import main
+
+        assert main(["table6"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["table6", "--distrib", "1"]) == 0
+        assert capsys.readouterr().out == serial

@@ -203,6 +203,18 @@ class TestCorruptionTolerance:
         assert stats.corrupt_records >= 1
         assert not q.all_done()  # the damaged cell is re-runnable
 
+    def test_record_after_torn_tail_starts_a_new_line(self, tmp_path):
+        """A record appended after a crash mid-append must survive."""
+        q = make_queue(tmp_path, n_cells=2)
+        q.record_result("r0", 0, {"v": 1}, seconds=0.0)
+        with open(q.results_path("r0"), "a") as fh:
+            fh.write('{"type": "result", "cell": "')  # crash mid-append
+        q.record_result("r0", 1, {"v": 2}, seconds=0.0)  # restarted r0
+        winners, stats = q.completed()
+        assert set(winners) == {c.key for c in q.cells}
+        assert stats.corrupt_records == 1
+        assert q.all_done()
+
     def test_garbage_line_between_records_tolerated(self, tmp_path):
         q = make_queue(tmp_path, n_cells=1)
         q.record_result("w0", 0, {"v": 1}, seconds=0.0)
